@@ -13,6 +13,7 @@ from functools import lru_cache
 from typing import Callable
 
 import numpy as np
+from numpy.typing import ArrayLike
 
 from .legendre import gauss_rule, legendre_table
 
@@ -83,98 +84,89 @@ class OperatorMatrix:
 
 @lru_cache(maxsize=None)
 def _projection_data(config: BasisConfig):
-    """Per-block quadrature nodes/weights and Legendre values, cached.
+    """Per-block quadrature nodes, weights and Legendre values, cached.
 
-    Returns (x, w, leg, scale) with leg[m, i] = p_m(x_i) and
-    scale[m] = (2m + 1) / 2, the 1-D normalization of the projection.
+    Returns (ts, w, leg, scale) with ts[k-1, i] = node x_i mapped into block
+    k, leg[m, i] = p_m(x_i) and scale[m] = (2m + 1) / 2.
     """
     rule = gauss_rule(config.quad_points)
+    k = np.arange(1, config.q + 1)[:, None]
+    ts = (rule.nodes + 2 * k - 1) / (2 * config.q)
     leg = legendre_table(config.r, rule.nodes)
     scale = (2.0 * np.arange(config.r) + 1.0) / 2.0
-    return rule.nodes, rule.weights, leg, scale
+    return ts, rule.weights, leg, scale
 
 
-def block_nodes(config: BasisConfig, k: int) -> np.ndarray:
-    """Quadrature nodes mapped into block k (1-based), ascending in t."""
-    x, _, _, _ = _projection_data(config)
-    return (x + 2 * k - 1) / (2 * config.q)
+def block_of(config: BasisConfig, t: ArrayLike):
+    """1-based index of the block containing t in [0, 1); t may be an array."""
+    t = np.asarray(t, dtype=float)
+    outside = ~((0.0 <= t) & (t < 1.0))
+    if np.any(outside):
+        raise ValueError(f"t={float(t[outside][0])!r} is outside the basis domain [0, 1)")
+    k = np.minimum((t * config.q).astype(int), config.q - 1) + 1
+    return int(k) if k.ndim == 0 else k
 
 
-def block_of(config: BasisConfig, t: float) -> int:
-    """1-based index of the block containing t in [0, 1)."""
-    if not 0.0 <= t < 1.0:
-        raise ValueError(f"t={t!r} is outside the basis domain [0, 1)")
-    return min(int(t * config.q), config.q - 1) + 1
+def eval_basis(config: BasisConfig, t: ArrayLike) -> np.ndarray:
+    """All rq basis functions at t, shape t.shape + (rq,); at each point
+    only the block containing it is nonzero."""
+    t = np.asarray(t, dtype=float)
+    k = np.asarray(block_of(config, t)).ravel()
+    x = 2.0 * config.q * t.ravel() - 2.0 * k + 1.0
+    out = np.zeros((t.size, config.q, config.r))
+    out[np.arange(t.size), k - 1] = legendre_table(config.r, x).T
+    return out.reshape(t.shape + (config.dim,))
 
 
-def eval_basis(config: BasisConfig, t: float) -> np.ndarray:
-    """All rq basis functions at t; only the block containing t is nonzero."""
-    k = block_of(config, t)
-    x = 2.0 * config.q * t - 2.0 * k + 1.0
-    out = np.zeros(config.dim)
-    out[(k - 1) * config.r : k * config.r] = legendre_table(
-        config.r, np.array([x])
-    )[:, 0]
-    return out
-
-
-def _sample_block(f: Callable[[float], float], ts: np.ndarray) -> np.ndarray:
-    vals = np.array([float(f(t)) for t in ts])
-    bad = ~np.isfinite(vals)
-    if np.any(bad):
-        i = int(np.argmax(bad))
-        raise ValueError(f"integrand returned {vals[i]!r} at node t={ts[i]!r}")
-    return vals
-
-
-def project_function(config: BasisConfig, f: Callable[[float], float]) -> CoeffVector:
+def project_function(
+    config: BasisConfig, f: Callable[[np.ndarray], np.ndarray]
+) -> CoeffVector:
     """L2 projection of f onto the hybrid space.
 
-    Coefficient (k, m) is q(2m+1) times the integral of f against the basis
-    function over block k, evaluated with the per-block Gauss rule, so it is
-    exact whenever f restricted to the block is a polynomial of degree
-    <= 2*quad_points - 1.
+    f must be numpy-vectorized: it is called once, on the (q, quad_points)
+    array of all quadrature nodes.  Coefficient (k, m) is q(2m+1) times the
+    integral of f against the basis function over block k, evaluated with
+    the per-block Gauss rule, so it is exact whenever f restricted to the
+    block is a polynomial of degree <= 2*quad_points - 1.
     """
-    x, w, leg, scale = _projection_data(config)
-    r = config.r
-    coeffs = np.empty(config.dim)
-    for k in range(1, config.q + 1):
-        vals = _sample_block(f, (x + 2 * k - 1) / (2 * config.q))
-        coeffs[(k - 1) * r : k * r] = scale * (leg @ (w * vals))
-    return CoeffVector(config, coeffs)
+    ts, w, leg, scale = _projection_data(config)
+    vals = np.broadcast_to(np.asarray(f(ts), dtype=float), ts.shape)
+    if not np.all(np.isfinite(vals)):
+        i = tuple(np.argwhere(~np.isfinite(vals))[0])
+        raise ValueError(f"integrand returned {float(vals[i])!r} at node t={float(ts[i])!r}")
+    return CoeffVector(config, (scale * ((w * vals) @ leg.T)).ravel())
 
 
 def project_kernel(
-    config: BasisConfig, g: Callable[[float, float], float]
+    config: BasisConfig, g: Callable[[np.ndarray, np.ndarray], np.ndarray]
 ) -> OperatorMatrix:
     """L2 projection of a two-variable kernel g(t, s) onto the tensor basis.
 
-    Entry (i, j) pairs basis function i in t with basis function j in s,
-    normalized like the 1-D projection in each variable; the integral is a
-    tensor-product Gauss rule over the block pair.
+    g must be numpy-vectorized: it is called once, with t of shape
+    (q, quad_points, 1, 1) and s of shape (q, quad_points), the quadrature
+    nodes.  Entry (i, j) pairs basis function i in t with basis function j
+    in s, normalized like the 1-D projection in each variable; the integral
+    is a tensor-product Gauss rule over each block pair.
     """
-    x, w, leg, scale = _projection_data(config)
-    r, q = config.r, config.q
-    entries = np.empty((config.dim, config.dim))
-    wleg = leg * w  # (r, npts), row m = w_i * p_m(x_i)
-    for k in range(1, q + 1):
-        ts = (x + 2 * k - 1) / (2 * q)
-        for kp in range(1, q + 1):
-            ss = (x + 2 * kp - 1) / (2 * q)
-            gv = np.empty((x.size, x.size))
-            for a, t in enumerate(ts):
-                for b, s in enumerate(ss):
-                    gv[a, b] = g(t, s)
-            if not np.all(np.isfinite(gv)):
-                a, b = np.argwhere(~np.isfinite(gv))[0]
-                raise ValueError(
-                    f"kernel returned {gv[a, b]!r} at node (t={ts[a]!r}, s={ss[b]!r})"
-                )
-            block = np.outer(scale, scale) * (wleg @ gv @ wleg.T)
-            entries[(k - 1) * r : k * r, (kp - 1) * r : kp * r] = block
-    return OperatorMatrix(config, entries)
+    ts, w, leg, scale = _projection_data(config)
+    gv = np.broadcast_to(np.asarray(g(ts[:, :, None, None], ts), dtype=float), ts.shape * 2)
+    if not np.all(np.isfinite(gv)):
+        k, a, l, b = np.argwhere(~np.isfinite(gv))[0]
+        raise ValueError(
+            f"kernel returned {float(gv[k, a, l, b])!r} at node "
+            f"(t={float(ts[k, a])!r}, s={float(ts[l, b])!r})"
+        )
+    wleg = scale[:, None] * leg * w
+    # contract the t nodes of every block, then the s nodes
+    half = (wleg @ gv.reshape(ts.shape + (ts.size,))).reshape((config.dim,) + ts.shape)
+    return OperatorMatrix(config, (half @ wleg.T).reshape(config.dim, config.dim))
 
 
-def reconstruct(Y: CoeffVector, t: float) -> float:
-    """Value at t of the function with hybrid coefficients Y."""
-    return float(np.dot(Y.coeffs, eval_basis(Y.config, t)))
+def reconstruct(Y: CoeffVector, t: ArrayLike):
+    """Value at t, a point or an array of points in [0, 1), of the function
+    with hybrid coefficients Y; a float or an array of t's shape."""
+    basis = eval_basis(Y.config, t)
+    # one dot product per point, as eval_basis(t) @ Y at a single t, so a
+    # value does not depend on how many points are asked for at once
+    values = (basis[..., None, :] @ Y.coeffs[:, None])[..., 0, 0]
+    return float(values) if values.ndim == 0 else values

@@ -16,21 +16,24 @@ functions are sin, cos, exp, log, sqrt and abs.
 
 from __future__ import annotations
 
-import math
 import re
 from dataclasses import dataclass
 from typing import Iterator, Optional, Union
 
+import numpy as np
+from numpy.typing import ArrayLike
+
 VARIABLES = ("t", "s")
-CONSTANTS = {"pi": math.pi, "e": math.e}
+CONSTANTS = {"pi": np.pi, "e": np.e}
 FUNCTIONS = {
-    "sin": math.sin,
-    "cos": math.cos,
-    "exp": math.exp,
-    "log": math.log,
-    "sqrt": math.sqrt,
-    "abs": abs,
+    "sin": np.sin,
+    "cos": np.cos,
+    "exp": np.exp,
+    "log": np.log,
+    "sqrt": np.sqrt,
+    "abs": np.abs,
 }
+OPERATORS = {"+": np.add, "-": np.subtract, "*": np.multiply, "/": np.divide, "^": np.power}
 
 
 class ExpressionError(Exception):
@@ -54,7 +57,7 @@ class UnknownIdentifier(ExprSyntaxError):
 
 
 class ExprEvalError(ExpressionError):
-    """Evaluation left the real domain (log of a nonpositive number, ...)."""
+    """Evaluation overflowed or left the real domain (log of a nonpositive number, ...)."""
 
 
 @dataclass(frozen=True)
@@ -62,7 +65,7 @@ class Num:
     value: float
 
     def __post_init__(self):
-        if not math.isfinite(self.value):
+        if not np.isfinite(self.value):
             raise ValueError(f"numeric literal must be finite, got {self.value}")
 
 
@@ -216,44 +219,54 @@ def parse_expression(source: str) -> Expr:
     return _Parser(source).parse()
 
 
-def evaluate(expr: Expr, t: float, s: Optional[float] = None) -> float:
-    """Evaluate an expression tree at the point (t, s)."""
+def evaluate(expr: Expr, t: ArrayLike, s: Optional[ArrayLike] = None):
+    """Evaluate an expression tree at the points (t, s).
+
+    t and s are floats or arrays that broadcast against each other; the
+    result has their broadcast shape, or is a float if both are scalars.
+    Overflow and leaving the real domain raise ExprEvalError naming the
+    subexpression and its first offending value; underflow flushes to 0.
+    """
+    t = np.asarray(t, dtype=float)
+    s = None if s is None else np.asarray(s, dtype=float)
+    shape = t.shape if s is None else np.broadcast_shapes(t.shape, s.shape)
+    with np.errstate(divide="raise", over="raise", invalid="raise", under="ignore"):
+        value = _evaluate(expr, t, s)
+    if not shape:
+        return float(value)
+    return value if np.shape(value) == shape else np.full(shape, value)
+
+
+def _evaluate(expr: Expr, t: np.ndarray, s: Optional[np.ndarray]):
     if isinstance(expr, Num):
         return expr.value
     if isinstance(expr, Name):
-        if expr.ident == "t":
-            return float(t)
-        if expr.ident == "s":
-            if s is None:
-                raise ExprEvalError("variable 's' is not bound in this context")
-            return float(s)
-        return CONSTANTS[expr.ident]
+        if expr.ident == "s" and s is None:
+            raise ExprEvalError("variable 's' is not bound in this context")
+        return dict(CONSTANTS, t=t, s=s)[expr.ident]
     if isinstance(expr, Neg):
-        return -evaluate(expr.operand, t, s)
+        return -_evaluate(expr.operand, t, s)
     if isinstance(expr, Call):
-        arg = evaluate(expr.arg, t, s)
-        try:
-            return float(FUNCTIONS[expr.func](arg))
-        except (ValueError, OverflowError) as exc:
-            raise ExprEvalError(
-                f"cannot evaluate {to_string(expr)} for argument {arg!r}: {exc}"
-            ) from exc
-    left = evaluate(expr.left, t, s)
-    right = evaluate(expr.right, t, s)
+        arg = _evaluate(expr.arg, t, s)
+        return _apply(FUNCTIONS[expr.func], expr, "argument", arg)
+    left = _evaluate(expr.left, t, s)
+    right = _evaluate(expr.right, t, s)
+    return _apply(OPERATORS[expr.op], expr, "operands", left, right)
+
+
+def _apply(ufunc: np.ufunc, expr: Expr, label: str, *operands):
+    """ufunc(*operands), turning a floating-point fault into ExprEvalError."""
     try:
-        if expr.op == "+":
-            return left + right
-        if expr.op == "-":
-            return left - right
-        if expr.op == "*":
-            return left * right
-        if expr.op == "/":
-            return left / right
-        return math.pow(left, right)
-    except (ValueError, OverflowError, ZeroDivisionError) as exc:
+        return ufunc(*operands)
+    except FloatingPointError as exc:
+        with np.errstate(all="ignore"):
+            bad = ~np.isfinite(ufunc(*operands))
+        i = int(np.argmax(bad))
+        values = " and ".join(
+            repr(float(np.broadcast_to(x, bad.shape).flat[i])) for x in operands
+        )
         raise ExprEvalError(
-            f"cannot evaluate {to_string(expr)} for operands "
-            f"{left!r} and {right!r}: {exc}"
+            f"cannot evaluate {to_string(expr)} for {label} {values}: {exc}"
         ) from exc
 
 

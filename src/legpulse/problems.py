@@ -323,21 +323,15 @@ def run(spec: ProblemSpec, tol: float = 1e-12, max_iter: int = 100) -> RunOutput
     report = solve(system, tol=tol, max_iter=max_iter)
 
     try:
-        rows = []
-        for t in spec.grid:
-            y_approx = reconstruct(report.Y, t)
-            if spec.exact is None:
-                rows.append(GridRow(t=t, y_approx=y_approx))
-            else:
-                y_exact = evaluate(spec.exact, t)
-                rows.append(
-                    GridRow(
-                        t=t,
-                        y_approx=y_approx,
-                        y_exact=y_exact,
-                        abs_error=abs(y_approx - y_exact),
-                    )
-                )
+        y_approx = reconstruct(report.Y, spec.grid)
+        if spec.exact is None:
+            rows = [GridRow(t, float(y)) for t, y in zip(spec.grid, y_approx)]
+        else:
+            y_exact = evaluate(spec.exact, spec.grid)
+            rows = [
+                GridRow(t, float(y), float(ye), float(abs(y - ye)))
+                for t, y, ye in zip(spec.grid, y_approx, y_exact)
+            ]
         bound = None
         mu = spec.r - 1
         if spec.deriv_bound is not None:

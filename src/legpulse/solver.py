@@ -111,13 +111,17 @@ def assemble(
     config: BasisConfig,
     kind: str,
     scalar: float,
-    kernel: Callable[[float, float], float],
-    forcing: Callable[[float], float],
+    kernel: Callable[[np.ndarray, np.ndarray], np.ndarray],
+    forcing: Callable[[np.ndarray], np.ndarray],
     m: int,
     n: int,
     ics: Sequence[float] = (),
 ) -> AssembledSystem:
-    """Project the problem data and build every operator it needs."""
+    """Project the problem data and build every operator it needs.
+
+    kernel and forcing must be numpy-vectorized, as project_kernel and
+    project_function describe.
+    """
     return AssembledSystem(
         kind=kind,
         scalar=float(scalar),
@@ -255,7 +259,7 @@ def error_bound(mu: int, M: float) -> float:
 
 
 def derivative_max(
-    f: Callable[[float], float],
+    f: Callable[[np.ndarray], np.ndarray],
     order: int,
     lo: float = 0.0,
     hi: float = 1.0,
@@ -266,24 +270,21 @@ def derivative_max(
     """Estimate max |f^(order)| on [lo, hi] by central differences.
 
     Uses one Richardson extrapolation from steps 2h and h.  The sample
-    grid is clipped so every stencil point stays inside [lo, hi].
+    grid is clipped so every stencil point stays inside [lo, hi].  f must
+    be numpy-vectorized: each stencil offset calls it on the whole grid.
     """
     if order < 0:
         raise ValueError(f"order must be nonnegative, got {order}")
     if not hi > lo:
         raise ValueError(f"need hi > lo, got [{lo}, {hi}]")
     if order == 0:
-        grid = np.linspace(lo, hi, samples)
-        return float(max(abs(f(x)) for x in grid))
+        return float(np.max(np.abs(f(np.linspace(lo, hi, samples)))))
     offsets = np.arange(order + 1)
     weights = np.array([(-1.0) ** i * math.comb(order, i) for i in offsets])
 
     def stencil(grid: np.ndarray, h: float) -> np.ndarray:
-        acc = np.zeros_like(grid)
-        for i, w in zip(offsets, weights):
-            shift = (order / 2.0 - i) * h
-            acc += w * np.array([f(x + shift) for x in grid])
-        return acc / h**order
+        terms = (w * f(grid + (order / 2.0 - i) * h) for i, w in zip(offsets, weights))
+        return sum(terms) / h**order
 
     coarse_h = 2.0 * step
     reach = (order / 2.0) * coarse_h

@@ -344,21 +344,21 @@ def test_criterion_7_robustness(tmp_path, capsys):
     # zero integral scalar: the forcing coefficients solve the system outright
     cfg = BasisConfig(q=2, r=3)
     fred = solve(
-        assemble(cfg, "fredholm", 0.0, lambda t, s: t * s, math.sin, 0, 0)
+        assemble(cfg, "fredholm", 0.0, lambda t, s: t * s, np.sin, 0, 0)
     )
     volt = solve(
-        assemble(cfg, "volterra", 0.0, lambda t, s: t * s, math.cos, 0, 0)
+        assemble(cfg, "volterra", 0.0, lambda t, s: t * s, np.cos, 0, 0)
     )
     zero_ok = (
         fred.converged
         and fred.iterations == 0
         and np.array_equal(
-            fred.Y.coeffs, project_function(cfg, math.sin).coeffs
+            fred.Y.coeffs, project_function(cfg, np.sin).coeffs
         )
         and volt.converged
         and volt.iterations == 0
         and np.array_equal(
-            volt.Y.coeffs, project_function(cfg, math.cos).coeffs
+            volt.Y.coeffs, project_function(cfg, np.cos).coeffs
         )
     )
 

@@ -15,6 +15,7 @@ from legpulse.basis import (
     project_kernel,
     reconstruct,
 )
+from legpulse.legendre import gauss_rule, legendre_table
 
 E = math.e
 
@@ -86,7 +87,7 @@ def test_project_identity_function():
 def test_project_exponential_single_block():
     # integral of exp against 1 and 2t-1 on [0, 1]: e - 1 and 3(3 - e)
     cfg = BasisConfig(q=1, r=2)
-    proj = project_function(cfg, math.exp)
+    proj = project_function(cfg, np.exp)
     np.testing.assert_allclose(
         proj.coeffs, [E - 1.0, 9.0 - 3.0 * E], atol=1e-13
     )
@@ -95,7 +96,7 @@ def test_project_exponential_single_block():
 def test_project_matches_published_volterra_forcing():
     cfg = BasisConfig(q=4, r=3)
     proj = project_function(
-        cfg, lambda t: 2 * t**3 + t**2 - 12 * t + 12 * math.sin(t)
+        cfg, lambda t: 2 * t**3 + t**2 - 12 * t + 12 * np.sin(t)
     )
     np.testing.assert_allclose(proj.coeffs, PUBLISHED_VOLTERRA_F, atol=1e-6)
 
@@ -109,7 +110,7 @@ def test_project_function_reports_bad_integrand():
 def test_kernel_projection_closed_form():
     # exp(t - s) at r=2, q=1 has a separable closed form
     cfg = BasisConfig(q=1, r=2)
-    K = project_kernel(cfg, lambda t, s: math.exp(t - s))
+    K = project_kernel(cfg, lambda t, s: np.exp(t - s))
     expected = np.array(
         [
             [E + 1.0 / E - 2.0, 3.0 * (E + 3.0 / E - 4.0)],
@@ -121,7 +122,7 @@ def test_kernel_projection_closed_form():
 
 def test_kernel_projection_matches_published_entry():
     cfg = BasisConfig(q=4, r=3)
-    G = project_kernel(cfg, lambda t, s: math.sin(t - s))
+    G = project_kernel(cfg, lambda t, s: np.sin(t - s))
     assert G.entries[0, 1] == pytest.approx(-0.1245, abs=5e-5)
     assert G.entries[0, 0] == pytest.approx(0.0, abs=1e-12)
 
@@ -129,11 +130,35 @@ def test_kernel_projection_matches_published_entry():
 def test_kernel_projection_is_separable_product():
     # g(t,s) = u(t) v(s) projects to the outer product of the 1-D projections
     cfg = BasisConfig(q=2, r=3)
-    u, v = math.cos, math.exp
+    u, v = np.cos, np.exp
     K = project_kernel(cfg, lambda t, s: u(t) * v(s))
     U = project_function(cfg, u).coeffs
     V = project_function(cfg, v).coeffs
     np.testing.assert_allclose(K.entries, np.outer(U, V), atol=1e-12)
+
+
+def test_projections_match_blockwise_reference():
+    # reference: one block (pair) at a time, the way the projections were
+    # computed before they were vectorized
+    cfg = BasisConfig(q=12, r=3)
+    q, r = cfg.q, cfg.r
+    rule = gauss_rule(cfg.quad_points)
+    x, w = rule.nodes, rule.weights
+    wleg = legendre_table(r, x) * w
+    scale = np.arange(r) + 0.5
+    nodes = [(x + 2 * k + 1) / (2 * q) for k in range(q)]
+    for g in (lambda t, s: np.exp(t - s), lambda t, s: np.sin(t - s)):
+        K = project_kernel(cfg, g).entries
+        for k, ts in enumerate(nodes):
+            for kp, ss in enumerate(nodes):
+                block = np.outer(scale, scale) * (wleg @ g(ts[:, None], ss) @ wleg.T)
+                np.testing.assert_allclose(
+                    K[k * r : (k + 1) * r, kp * r : (kp + 1) * r], block, rtol=0, atol=1e-14
+                )
+    F = project_function(cfg, lambda t: np.exp(t + 1.0)).coeffs
+    for k, ts in enumerate(nodes):
+        expected = scale * (wleg @ np.exp(ts + 1.0))
+        np.testing.assert_allclose(F[k * r : (k + 1) * r], expected, rtol=0, atol=1e-14)
 
 
 def test_kernel_projection_reports_bad_kernel():

@@ -2,9 +2,11 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from legpulse.basis import BasisConfig, project_function, project_kernel
 from legpulse.exprlang import (
     BinOp,
     Call,
@@ -179,9 +181,9 @@ def test_to_string_round_trips_numerically(source):
         assert evaluate(back, t, s) == evaluate(tree, t, s)
 
 
-def ast_strategy():
+def ast_strategy(max_literal=1e6):
     leaves = st.one_of(
-        st.builds(Num, st.floats(min_value=0.0, max_value=1e6, allow_nan=False)),
+        st.builds(Num, st.floats(min_value=0.0, max_value=max_literal, allow_nan=False)),
         st.sampled_from([Name("t"), Name("s"), Name("pi"), Name("e")]),
     )
     return st.recursive(
@@ -209,3 +211,69 @@ def test_evaluation_is_pure(t, s):
     first = evaluate(tree, t, s)
     second = evaluate(tree, t, s)
     assert first == second
+
+
+def test_array_domain_error_reports_first_offending_element():
+    tree = parse_expression("log(t - 0.5)")
+    with pytest.raises(ExprEvalError, match=r"log\(t-0\.5\) for argument -0\.3"):
+        evaluate(tree, np.array([0.75, 0.2, 0.5]))
+    # row-major order: (t=0.5, s=1) comes before (t=0.25, s=1)
+    with pytest.raises(ExprEvalError, match=r"for operands 0\.5 and 0\.0"):
+        evaluate(parse_expression("t/(s - 1)"), np.array([[0.5], [0.25]]), np.array([0.0, 1.0]))
+
+
+def test_overflow_is_an_evaluation_error():
+    with pytest.raises(ExprEvalError, match=r"\*"):
+        value("1e300*1e300")
+    with pytest.raises(ExprEvalError, match="exp"):
+        value("exp(t)", t=1000.0)
+    assert value("exp(-t)", t=1000.0) == 0.0
+
+
+POINTS = st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=1, max_size=4)
+
+
+@settings(deadline=None, max_examples=300)
+@given(tree=ast_strategy(max_literal=10.0), ts=POINTS, ss=POINTS)
+def test_array_evaluation_matches_per_point_evaluation(tree, ts, ss):
+    # t is a column and s a row, so the result spans every (t, s) pair
+    t, s = np.array(ts)[:, None], np.array(ss)
+    expected = np.empty((len(ts), len(ss)))
+    try:
+        for i, ti in enumerate(ts):
+            for j, sj in enumerate(ss):
+                point = evaluate(tree, ti, sj)
+                assert isinstance(point, float)
+                expected[i, j] = point
+    except ExprEvalError:
+        with pytest.raises(ExprEvalError):
+            evaluate(tree, t, s)
+        return
+    got = evaluate(tree, t, s)
+    assert got.shape == expected.shape
+    np.testing.assert_allclose(got, expected, rtol=1e-14, atol=0.0)
+
+
+@pytest.mark.parametrize(
+    "kernel, explicit",
+    [("2", "2 + 0*t*s"), ("t", "t + 0*s"), ("cos(s)", "cos(s) + 0*t")],
+)
+def test_kernel_with_fewer_variables_projects_like_two_variable_form(kernel, explicit):
+    cfg = BasisConfig(q=3, r=2)
+    short, full = parse_expression(kernel), parse_expression(explicit)
+    nodes = np.linspace(0.0, 0.9, 5)
+    assert evaluate(short, nodes[:, None], nodes).shape == (5, 5)
+    np.testing.assert_array_equal(
+        project_kernel(cfg, lambda t, s: evaluate(short, t, s)).entries,
+        project_kernel(cfg, lambda t, s: evaluate(full, t, s)).entries,
+    )
+
+
+def test_constant_forcing_projects_like_one_variable_form():
+    cfg = BasisConfig(q=3, r=2)
+    short, full = parse_expression("3"), parse_expression("3 + 0*t")
+    assert evaluate(short, np.zeros((2, 4))).shape == (2, 4)
+    np.testing.assert_array_equal(
+        project_function(cfg, lambda t: evaluate(short, t)).coeffs,
+        project_function(cfg, lambda t: evaluate(full, t)).coeffs,
+    )

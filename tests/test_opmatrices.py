@@ -79,7 +79,7 @@ def _cumulative_basis_integral(cfg, i):
         values = [eval_basis(cfg, x)[i] for x in mapped]
         return float(np.dot(weights, values) * (upper - lo) / 2.0)
 
-    return integral
+    return np.vectorize(integral)
 
 
 def test_triple_tensor_known_entries():
@@ -206,7 +206,7 @@ def test_coeff_matrix_matches_projection_oracle():
         M = coeff_matrix(C, tensor).entries
         for i in range(cfg.dim):
             proj = project_function(
-                cfg, lambda t: eval_basis(cfg, t)[i] * reconstruct(C, t)
+                cfg, np.vectorize(lambda t: eval_basis(cfg, t)[i] * reconstruct(C, t))
             )
             np.testing.assert_allclose(M[i], proj.coeffs, atol=1e-12)
 
@@ -220,7 +220,7 @@ def test_hat_vector_matches_projection_oracle():
         S = rng.uniform(-1.0, 1.0, (cfg.dim, cfg.dim))
         hat = hat_vector(OperatorMatrix(cfg, S), tensor).coeffs
         proj = project_function(
-            cfg, lambda t: eval_basis(cfg, t) @ S @ eval_basis(cfg, t)
+            cfg, np.vectorize(lambda t: eval_basis(cfg, t) @ S @ eval_basis(cfg, t))
         )
         np.testing.assert_allclose(hat, proj.coeffs, atol=1e-12)
 

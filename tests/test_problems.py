@@ -315,3 +315,36 @@ def test_bundled_problem_files_load():
         spec = load_problem(problems_dir / name)
         out = run(spec)
         assert out.report.converged
+
+
+DOMAIN_ERROR_TEXT = """\
+kind = fredholm
+lambda = 1
+kernel = {kernel}
+f = {f}
+m = 0
+n = 0
+r = 2
+q = 2
+"""
+
+
+@pytest.mark.parametrize(
+    "kernel, f, message",
+    [
+        # the diagonal Gauss nodes have t == s exactly
+        ("log(t - s)", "t", "cannot evaluate log(t-s) for argument 0.0"),
+        (
+            "t*s",
+            "sqrt(t - 0.5)",
+            "cannot evaluate sqrt(t-0.5) for argument -0.4987968049992553",
+        ),
+    ],
+)
+def test_cli_names_runtime_domain_error(tmp_path, capsys, kernel, f, message):
+    problem = tmp_path / "domain.prob"
+    problem.write_text(DOMAIN_ERROR_TEXT.format(kernel=kernel, f=f))
+    code = main(["solve", str(problem)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert f"could not assemble {problem}: {message}" in captured.err
