@@ -29,7 +29,7 @@ from .exprlang import (
     to_string,
     variables,
 )
-from .legendre import QuadratureRule, gauss_rule, legendre_eval, legendre_table
+from .legendre import QuadratureRule, gauss_rule, legendre_table
 from .lift import InitialConditions, lift, project_initial
 from .opmatrices import (
     TripleTensor,
@@ -62,8 +62,6 @@ from .solver import (
     derivative_max,
     error_bound,
     residual,
-    residual_fredholm,
-    residual_volterra,
     solve,
 )
 
@@ -104,7 +102,6 @@ __all__ = [
     "format_report",
     "gauss_rule",
     "hat_vector",
-    "legendre_eval",
     "legendre_table",
     "lift",
     "load_problem",
@@ -115,8 +112,6 @@ __all__ = [
     "project_kernel",
     "reconstruct",
     "residual",
-    "residual_fredholm",
-    "residual_volterra",
     "run",
     "run_all",
     "run_case",

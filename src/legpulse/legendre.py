@@ -10,25 +10,11 @@ _NEWTON_TOL = 1e-15
 _NEWTON_MAX_SWEEPS = 100
 
 
-def legendre_eval(m: int, x: float) -> float:
-    """Evaluate the Legendre polynomial p_m(x) by the three-term recursion.
-
-    p_0 = 1, p_1 = x, (m+1) p_{m+1} = (2m+1) x p_m - m p_{m-1}.
-    Stable for every order used here; total on [-1, 1] (and well defined
-    slightly outside, which block-boundary rounding can produce).
-    """
-    if m < 0:
-        raise ValueError(f"polynomial order must be >= 0, got {m}")
-    if m == 0:
-        return 1.0
-    p_prev, p = 1.0, float(x)
-    for j in range(1, m):
-        p_prev, p = p, ((2 * j + 1) * x * p - j * p_prev) / (j + 1)
-    return p
-
-
 def legendre_table(r: int, x: np.ndarray) -> np.ndarray:
-    """Values of p_0 .. p_{r-1} at the points x, shape (r, len(x))."""
+    """Values of p_0 .. p_{r-1} at the points x, shape (r, len(x)), by the
+    three-term recursion (m+1) p_{m+1} = (2m+1) x p_m - m p_{m-1}."""
+    if r < 1:
+        raise ValueError(f"need at least one polynomial order, got r={r}")
     x = np.asarray(x, dtype=float)
     table = np.empty((r, x.size))
     table[0] = 1.0

@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .basis import BasisConfig, CoeffVector, OperatorMatrix
+from .basis import BasisConfig, CoeffVector
 
 
 @dataclass
@@ -40,10 +40,12 @@ def project_initial(a: float, config: BasisConfig) -> CoeffVector:
     return CoeffVector(config, coeffs)
 
 
-def lift(Y: CoeffVector, n: int, ics: InitialConditions, J: OperatorMatrix) -> CoeffVector:
-    """Coefficients of the n-th derivative of the function with coefficients Y.
+def lift(y: np.ndarray, n: int, ics: InitialConditions, J: np.ndarray) -> np.ndarray:
+    """Coefficients of the n-th derivative of the function with coefficients y.
 
-    Needs the first n initial conditions; n = 0 returns Y unchanged.
+    y is one coefficient vector (dim,) or a batch of them as columns
+    (dim, k); the result has the same shape.  Needs the first n initial
+    conditions; n = 0 returns y unchanged.
     """
     if n < 0:
         raise ValueError(f"derivative order must be >= 0, got {n}")
@@ -51,8 +53,9 @@ def lift(Y: CoeffVector, n: int, ics: InitialConditions, J: OperatorMatrix) -> C
         raise ValueError(
             f"lifting to order {n} needs {n} initial conditions, got {len(ics)}"
         )
-    y = Y.coeffs
-    for i in range(n):
-        y0 = project_initial(ics.values[i], Y.config).coeffs
-        y = J.entries @ (y - y0)
-    return CoeffVector(Y.config, y)
+    for a in ics.values[:n]:
+        # subtract the projected constant a, which lives in the order-0 slots
+        shifted = y.copy()
+        shifted[:: ics.config.r] -= a
+        y = J @ shifted
+    return y

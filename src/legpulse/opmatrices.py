@@ -5,7 +5,8 @@ running integral; L is the diagonal Gram matrix; J = (P^T)^-1 drives the
 derivative lift. Multiplication of two basis expansions is captured by a
 block-local tensor of normalized triple products, from which the coefficient
 matrix of a vector and the row vector of a quadratic form are assembled for
-arbitrary (r, q).
+arbitrary (r, q). Both work on raw arrays, block by block, and accept
+leading batch axes.
 
 Products of basis functions have degree up to 2(r-1); projecting them back
 into the degree-(r-1) space silently drops the higher modes. That truncation
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import BasisConfig, CoeffVector, OperatorMatrix
+from .basis import BasisConfig, OperatorMatrix
 from .legendre import gauss_rule, legendre_table
 
 _INVERSE_RESIDUAL_TOL = 1e-10
@@ -118,38 +119,30 @@ def build_triple_tensor(config: BasisConfig) -> TripleTensor:
     return TripleTensor(config, values)
 
 
-def _require_same_config(a: BasisConfig, b: BasisConfig, what: str):
-    if a != b:
-        raise ValueError(f"{what} built for config {b}, expected {a}")
+def coeff_matrix(c: np.ndarray, tensor: np.ndarray) -> np.ndarray:
+    """Diagonal blocks of the matrix of multiplication by the function with
+    coefficients c.
 
-
-def coeff_matrix(C: CoeffVector, tensor: TripleTensor) -> OperatorMatrix:
-    """Matrix of multiplication by the function with coefficients C.
-
-    Satisfies B(t) B^T(t) C = M B(t) after projection; block-diagonal because
+    c has shape (..., dim) and tensor is the (r, r, r) array of triple
+    products; the result has shape (..., q, r, r), block k holding rows and
+    columns k*r .. k*r + r - 1.  The full matrix satisfies
+    B(t) B^T(t) c = M B(t) after projection and is block-diagonal, because
     basis functions of different blocks have disjoint support.
     """
-    _require_same_config(C.config, tensor.config, "coefficient vector")
-    r, q = C.config.r, C.config.q
-    M = np.zeros((C.config.dim, C.config.dim))
-    for k in range(q):
-        cb = C.coeffs[k * r : (k + 1) * r]
-        M[k * r : (k + 1) * r, k * r : (k + 1) * r] = np.einsum(
-            "j,ijm->im", cb, tensor.values
-        )
-    return OperatorMatrix(C.config, M)
+    r = tensor.shape[0]
+    # block[i, m] = sum_j c_j t[i, j, m]: contract j in one matmul
+    by_j = tensor.transpose(1, 0, 2).reshape(r, r * r)
+    blocks = c.reshape(c.shape[:-1] + (-1, r)) @ by_j
+    return blocks.reshape(blocks.shape[:-1] + (r, r))
 
 
-def hat_vector(S: OperatorMatrix, tensor: TripleTensor) -> CoeffVector:
+def hat_vector(S: np.ndarray, tensor: np.ndarray) -> np.ndarray:
     """Basis coefficients of the quadratic form t -> B^T(t) S B(t).
 
-    Off-block entries of S do not contribute: the corresponding products of
-    basis functions vanish identically.
+    S is given by its diagonal blocks, shape (..., q, r, r); the result has
+    shape (..., dim).  Off-block entries of S would not contribute: the
+    corresponding products of basis functions vanish identically.
     """
-    _require_same_config(S.config, tensor.config, "operator matrix")
-    r, q = S.config.r, S.config.q
-    v = np.empty(S.config.dim)
-    for k in range(q):
-        Sb = S.entries[k * r : (k + 1) * r, k * r : (k + 1) * r]
-        v[k * r : (k + 1) * r] = np.einsum("ij,ijm->m", Sb, tensor.values)
-    return CoeffVector(S.config, v)
+    r = tensor.shape[0]
+    v = S.reshape(S.shape[:-2] + (r * r,)) @ tensor.reshape(r * r, r)
+    return v.reshape(v.shape[:-2] + (-1,))

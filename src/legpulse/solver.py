@@ -15,16 +15,9 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .basis import (
-    BasisConfig,
-    CoeffVector,
-    OperatorMatrix,
-    project_function,
-    project_kernel,
-)
+from .basis import BasisConfig, CoeffVector, project_function, project_kernel
 from .lift import InitialConditions, lift
 from .opmatrices import (
-    TripleTensor,
     build_J,
     build_L,
     build_P,
@@ -35,8 +28,6 @@ from .opmatrices import (
 
 KINDS = ("fredholm", "volterra")
 
-# forward-difference step scale for the Jacobian
-_JACOBIAN_STEP = 1e-7
 # budget for halving a Newton step that fails to reduce the residual
 _MAX_HALVINGS = 20
 
@@ -47,20 +38,23 @@ class AssembledSystem:
 
     kind is "fredholm" (integral over the whole interval) or "volterra"
     (integral from 0 to t); scalar multiplies the integral term; m and n
-    are the derivative orders inside the integrand.
+    are the derivative orders inside the integrand.  kernel, P, L and J are
+    (dim, dim) arrays, forcing is (dim,) and tensor is the (r, r, r) triple
+    tensor, all for config.
     """
 
+    config: BasisConfig
     kind: str
     scalar: float
-    kernel: OperatorMatrix
-    forcing: CoeffVector
+    kernel: np.ndarray
+    forcing: np.ndarray
     m: int
     n: int
     ics: InitialConditions
-    tensor: TripleTensor
-    P: OperatorMatrix
-    L: OperatorMatrix
-    J: OperatorMatrix
+    tensor: np.ndarray
+    P: np.ndarray
+    L: np.ndarray
+    J: np.ndarray
 
     def __post_init__(self):
         if self.kind not in KINDS:
@@ -77,24 +71,19 @@ class AssembledSystem:
                 f"derivative orders m={self.m}, n={self.n} require "
                 f"{needed} initial condition(s), got {len(self.ics)}"
             )
-        config = self.config
-        pieces = {
-            "kernel": self.kernel.config,
-            "ics": self.ics.config,
-            "tensor": self.tensor.config,
-            "P": self.P.config,
-            "L": self.L.config,
-            "J": self.J.config,
+        dim, r = self.config.dim, self.config.r
+        built_for = {
+            "kernel": (self.kernel.shape, (dim, dim)),
+            "forcing": (self.forcing.shape, (dim,)),
+            "ics": (self.ics.config, self.config),
+            "tensor": (self.tensor.shape, (r, r, r)),
+            "P": (self.P.shape, (dim, dim)),
+            "L": (self.L.shape, (dim, dim)),
+            "J": (self.J.shape, (dim, dim)),
         }
-        for label, other in pieces.items():
-            if other != config:
-                raise ValueError(
-                    f"{label} was built for {other}, but the forcing uses {config}"
-                )
-
-    @property
-    def config(self) -> BasisConfig:
-        return self.forcing.config
+        for label, (got, want) in built_for.items():
+            if got != want:
+                raise ValueError(f"{label} was built for {got}, but {self.config} needs {want}")
 
 
 @dataclass
@@ -123,82 +112,78 @@ def assemble(
     project_function describe.
     """
     return AssembledSystem(
+        config=config,
         kind=kind,
         scalar=float(scalar),
-        kernel=project_kernel(config, kernel),
-        forcing=project_function(config, forcing),
+        kernel=project_kernel(config, kernel).entries,
+        forcing=project_function(config, forcing).coeffs,
         m=int(m),
         n=int(n),
         ics=InitialConditions(tuple(ics), config),
-        tensor=build_triple_tensor(config),
-        P=build_P(config),
-        L=build_L(config),
-        J=build_J(config),
+        tensor=build_triple_tensor(config).values,
+        P=build_P(config).entries,
+        L=build_L(config).entries,
+        J=build_J(config).entries,
     )
-
-
-def _lift_coeffs(system: AssembledSystem, y: np.ndarray, order: int) -> np.ndarray:
-    vec = CoeffVector(system.config, np.asarray(y, dtype=float))
-    return lift(vec, order, system.ics, system.J).coeffs
-
-
-def residual_fredholm(system: AssembledSystem, y: np.ndarray) -> np.ndarray:
-    """R(Y) = Y + scalar * K C~_m L Y_n - F for the fixed-interval integral."""
-    y = np.asarray(y, dtype=float)
-    ym = _lift_coeffs(system, y, system.m)
-    yn = _lift_coeffs(system, y, system.n)
-    cm = coeff_matrix(CoeffVector(system.config, ym), system.tensor)
-    integral = system.kernel.entries @ cm.entries @ system.L.entries @ yn
-    return y + system.scalar * integral - system.forcing.coeffs
-
-
-def residual_volterra(system: AssembledSystem, y: np.ndarray) -> np.ndarray:
-    """R(Y) = Y + scalar * hat(K C~_m C~_n P) - F for the running integral."""
-    y = np.asarray(y, dtype=float)
-    cm = coeff_matrix(
-        CoeffVector(system.config, _lift_coeffs(system, y, system.m)), system.tensor
-    )
-    cn = coeff_matrix(
-        CoeffVector(system.config, _lift_coeffs(system, y, system.n)), system.tensor
-    )
-    inner = system.kernel.entries @ cm.entries @ cn.entries @ system.P.entries
-    hat = hat_vector(OperatorMatrix(system.config, inner), system.tensor)
-    return y + system.scalar * hat.coeffs - system.forcing.coeffs
 
 
 def residual(system: AssembledSystem, y: np.ndarray) -> np.ndarray:
-    """Dispatch to the Fredholm or Volterra residual."""
+    """R(Y) = Y + scalar * I(u, v) - F, with u and v the m-th and n-th lifts of Y.
+
+    y is one coefficient vector (dim,) or a batch of them as columns
+    (dim, k); R has the same shape.  The integral term is
+    K C~_u L v (Fredholm) or hat(K C~_u C~_v P) (Volterra), evaluated on the
+    diagonal blocks of C~_u and C~_v, never on their dense block-diagonal
+    matrices.
+    """
+    y = np.asarray(y, dtype=float)
+    q, r = system.config.q, system.config.r
+    u = lift(y, system.m, system.ics, system.J).T
+    v = lift(y, system.n, system.ics, system.J).T
     if system.kind == "fredholm":
-        return residual_fredholm(system, y)
-    return residual_volterra(system, y)
+        # right to left: L v, then the block-local C~_u, then K
+        lv = (np.diagonal(system.L) * v).reshape(v.shape[:-1] + (q, r, 1))
+        cu_lv = coeff_matrix(u, system.tensor) @ lv
+        integral = cu_lv.reshape(v.shape) @ system.kernel.T
+    else:
+        # hat reads only the diagonal blocks of S = K D P, where D = C~_u C~_v
+        # is block-diagonal and P has E on its diagonal blocks and e0 e0^T / q
+        # above them: S_kk = K_kk D_k E + (1/q) (sum_{l<k} K_kl D_l e0) e0^T.
+        # hat(w e0^T) = w, since multiplying by the constant mode is the identity
+        d = coeff_matrix(u, system.tensor) @ coeff_matrix(v, system.tensor)
+        below = system.kernel * np.tri(q, k=-1).repeat(r, 0).repeat(r, 1)
+        carried = d[..., 0].reshape(v.shape) @ below.T
+        diagonal = system.kernel.reshape(q, r, q, r)[np.arange(q), :, np.arange(q)]
+        S = diagonal @ d @ system.P[:r, :r]
+        integral = hat_vector(S, system.tensor) + carried / q
+    return (y.T + system.scalar * integral - system.forcing).T
 
 
 def _inf_norm(vec: np.ndarray) -> float:
     return float(np.max(np.abs(vec)))
 
 
-def _fd_jacobian(system: AssembledSystem, y: np.ndarray, res: np.ndarray) -> np.ndarray:
+def _jacobian(system: AssembledSystem, y: np.ndarray) -> np.ndarray:
+    """Exact Jacobian of the residual at y from one batched residual call.
+
+    R is quadratic in Y (the lift is affine, the product bilinear), so
+    (R(y + e_i) - R(y - e_i)) / 2 is exactly the i-th column.
+    """
     dim = y.size
-    jac = np.empty((dim, dim))
-    for i in range(dim):
-        h = _JACOBIAN_STEP * max(1.0, abs(y[i]))
-        bumped = y.copy()
-        bumped[i] += h
-        jac[:, i] = (residual(system, bumped) - res) / h
-    return jac
+    both = residual(system, y[:, None] + np.hstack([np.eye(dim), -np.eye(dim)]))
+    return (both[:, :dim] - both[:, dim:]) / 2.0
 
 
 def _newton(
     system: AssembledSystem, start: np.ndarray, tol: float, max_iter: int
 ) -> SolveReport:
-    y = np.asarray(start, dtype=float).copy()
+    y = np.array(start, dtype=float)
     res = residual(system, y)
     norm = _inf_norm(res)
     iterations = 0
     while norm > tol and iterations < max_iter:
-        jac = _fd_jacobian(system, y, res)
         try:
-            step = np.linalg.solve(jac, -res)
+            step = np.linalg.solve(_jacobian(system, y), -res)
         except np.linalg.LinAlgError:
             break
         # damping: halve the step until the residual actually decreases
@@ -236,7 +221,7 @@ def solve(system: AssembledSystem, tol: float = 1e-12, max_iter: int = 100) -> S
         raise ValueError(f"tol must be positive, got {tol}")
     if max_iter < 1:
         raise ValueError(f"max_iter must be at least 1, got {max_iter}")
-    first = _newton(system, system.forcing.coeffs, tol, max_iter)
+    first = _newton(system, system.forcing, tol, max_iter)
     if first.converged:
         return first
     second = _newton(system, np.zeros(system.config.dim), tol, max_iter)

@@ -16,7 +16,6 @@ import pytest
 from legpulse.basis import (
     BasisConfig,
     CoeffVector,
-    OperatorMatrix,
     eval_basis,
     project_function,
     reconstruct,
@@ -207,6 +206,11 @@ def _cumulative_basis_samples(cfg, i, ts):
     return out
 
 
+def _diagonal_blocks(S, r):
+    """The (q, r, r) diagonal blocks of a dense matrix S."""
+    return np.stack([S[k : k + r, k : k + r] for k in range(0, S.shape[0], r)])
+
+
 def test_criterion_4_operational_matrix_oracle_suite():
     worst = {"P": 0.0, "L": 0.0, "J": 0.0, "C": 0.0, "S": 0.0}
     rng = np.random.default_rng(4)
@@ -214,7 +218,7 @@ def test_criterion_4_operational_matrix_oracle_suite():
         for q in range(1, 6):
             cfg = BasisConfig(q=q, r=r)
             ts, ws, B, norms = _sampling(cfg)
-            tensor = build_triple_tensor(cfg)
+            tensor = build_triple_tensor(cfg).values
 
             P = build_P(cfg).entries
             for i in range(cfg.dim):
@@ -237,20 +241,22 @@ def test_criterion_4_operational_matrix_oracle_suite():
                 C = rng.uniform(-1.0, 1.0, cfg.dim)
                 u = C @ B
                 oracle_M = (B * (ws * u)) @ (B.T * norms[None, :])
-                M = coeff_matrix(CoeffVector(cfg, C), tensor).entries
+                M = np.zeros((cfg.dim, cfg.dim))
+                for k, block in enumerate(coeff_matrix(C, tensor)):
+                    M[k * r : (k + 1) * r, k * r : (k + 1) * r] = block
                 worst["C"] = max(worst["C"], float(np.max(np.abs(M - oracle_M))))
 
                 S = rng.uniform(-1.0, 1.0, (cfg.dim, cfg.dim))
                 v = np.einsum("in,ij,jn->n", B, S, B)
                 oracle_hat = _project_samples(v, ws, B, norms)
-                hat = hat_vector(OperatorMatrix(cfg, S), tensor).coeffs
+                hat = hat_vector(_diagonal_blocks(S, r), tensor)
                 worst["S"] = max(worst["S"], float(np.max(np.abs(hat - oracle_hat))))
 
     # the r=3, q=4 hat vector reproduces the published closed-form pattern
     cfg = BasisConfig(q=4, r=3)
-    tensor = build_triple_tensor(cfg)
+    tensor = build_triple_tensor(cfg).values
     S = rng.uniform(-1.0, 1.0, (12, 12))
-    hat = hat_vector(OperatorMatrix(cfg, S), tensor).coeffs
+    hat = hat_vector(_diagonal_blocks(S, 3), tensor)
     pattern_dev = 0.0
     for k in range(4):
         s = S[k * 3 : (k + 1) * 3, k * 3 : (k + 1) * 3]
@@ -287,15 +293,15 @@ def test_criterion_5_derivative_lift_identities():
     for r in range(1, 5):
         for q in range(1, 5):
             cfg = BasisConfig(q=q, r=r)
-            J = build_J(cfg)
+            J = build_J(cfg).entries
             for n in range(5):
-                Y = CoeffVector(cfg, rng.uniform(-1.0, 1.0, cfg.dim))
+                Y = rng.uniform(-1.0, 1.0, cfg.dim)
                 ics = InitialConditions(tuple(rng.uniform(-1.0, 1.0, n)), cfg)
-                got = lift(Y, n, ics, J).coeffs
-                expected = np.linalg.matrix_power(J.entries, n) @ Y.coeffs
+                got = lift(Y, n, ics, J)
+                expected = np.linalg.matrix_power(J, n) @ Y
                 for k in range(1, n + 1):
                     y0 = project_initial(ics.values[n - k], cfg).coeffs
-                    expected -= np.linalg.matrix_power(J.entries, k) @ y0
+                    expected -= np.linalg.matrix_power(J, k) @ y0
                 scale = max(1.0, float(np.max(np.abs(expected))))
                 worst_closed = max(
                     worst_closed, float(np.max(np.abs(got - expected))) / scale
@@ -304,18 +310,18 @@ def test_criterion_5_derivative_lift_identities():
     worst_poly = 0.0
     for r in range(2, 7):
         cfg = BasisConfig(q=1, r=r)
-        J = build_J(cfg)
-        Y = project_function(cfg, lambda t: sum(t**j for j in range(r)))
-        got = lift(Y, 1, InitialConditions((1.0,), cfg), J).coeffs
+        J = build_J(cfg).entries
+        Y = project_function(cfg, lambda t: sum(t**j for j in range(r))).coeffs
+        got = lift(Y, 1, InitialConditions((1.0,), cfg), J)
         expected = project_function(
             cfg, lambda t: sum(j * t ** (j - 1) for j in range(1, r))
         ).coeffs
         worst_poly = max(worst_poly, float(np.max(np.abs(got - expected))))
 
     cfg = BasisConfig(q=3, r=3)
-    Y = CoeffVector(cfg, np.arange(9.0))
+    Y = np.arange(9.0)
     identity_ok = np.array_equal(
-        lift(Y, 0, InitialConditions((), cfg), build_J(cfg)).coeffs, Y.coeffs
+        lift(Y, 0, InitialConditions((), cfg), build_J(cfg).entries), Y
     )
 
     ok = announce(

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from legpulse.legendre import QuadratureRule, gauss_rule, legendre_eval, legendre_table
+from legpulse.legendre import QuadratureRule, gauss_rule, legendre_table
 
 
 def legendre_closed_form(m: int, x: float) -> float:
@@ -19,43 +19,49 @@ def legendre_closed_form(m: int, x: float) -> float:
 
 def test_recursion_matches_closed_form():
     grid = np.linspace(-1.0, 1.0, 101)
+    table = legendre_table(11, grid)
     for m in range(11):
-        for x in grid:
-            assert legendre_eval(m, x) == pytest.approx(
+        for j, x in enumerate(grid):
+            assert table[m, j] == pytest.approx(
                 legendre_closed_form(m, x), abs=1e-11
             )
 
 
 def test_low_order_values():
-    assert legendre_eval(0, 0.3) == 1.0
-    assert legendre_eval(1, 0.3) == 0.3
-    assert legendre_eval(2, 0.5) == pytest.approx(-0.125, abs=1e-15)
-    assert legendre_eval(3, 0.5) == pytest.approx(-0.4375, abs=1e-15)
+    assert legendre_table(1, [0.3])[0, 0] == 1.0
+    assert legendre_table(2, [0.3])[1, 0] == 0.3
+    assert legendre_table(3, [0.5])[2, 0] == pytest.approx(-0.125, abs=1e-15)
+    assert legendre_table(4, [0.5])[3, 0] == pytest.approx(-0.4375, abs=1e-15)
 
 
 def test_endpoint_values():
+    table = legendre_table(8, [1.0, -1.0])
     for m in range(8):
-        assert legendre_eval(m, 1.0) == pytest.approx(1.0, abs=1e-13)
-        assert legendre_eval(m, -1.0) == pytest.approx((-1.0) ** m, abs=1e-13)
+        assert table[m, 0] == pytest.approx(1.0, abs=1e-13)
+        assert table[m, 1] == pytest.approx((-1.0) ** m, abs=1e-13)
 
 
 def test_negative_order_rejected():
     with pytest.raises(ValueError):
-        legendre_eval(-1, 0.0)
+        legendre_table(0, [0.0])
+    with pytest.raises(ValueError):
+        legendre_table(-1, [0.0])
 
 
 def test_table_matches_pointwise_eval():
+    # a column of the table does not depend on the other points asked for
     x = np.linspace(-1.0, 1.0, 17)
     table = legendre_table(6, x)
     assert table.shape == (6, 17)
-    for m in range(6):
-        for j, xj in enumerate(x):
-            assert table[m, j] == pytest.approx(legendre_eval(m, xj), abs=1e-14)
+    for j, xj in enumerate(x):
+        single = legendre_table(6, [xj])[:, 0]
+        for m in range(6):
+            assert table[m, j] == pytest.approx(single[m], abs=1e-14)
 
 
 @given(st.integers(min_value=0, max_value=12), st.floats(min_value=-1.0, max_value=1.0))
 def test_bounded_by_one_on_interval(m, x):
-    assert abs(legendre_eval(m, x)) <= 1.0 + 1e-12
+    assert abs(legendre_table(m + 1, [x])[m, 0]) <= 1.0 + 1e-12
 
 
 def test_gauss_nodes_and_weights_match_numpy():

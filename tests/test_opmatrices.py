@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from legpulse.basis import BasisConfig, CoeffVector, OperatorMatrix, eval_basis, project_function, reconstruct
+from legpulse.basis import BasisConfig, CoeffVector, eval_basis, project_function, reconstruct
 from legpulse.opmatrices import (
     build_J,
     build_L,
@@ -127,38 +127,51 @@ def test_triple_tensor_symmetry_and_parity():
                     assert abs(t[i, j, m]) <= 1e-14
 
 
+def _block_diag(blocks):
+    """Dense block-diagonal matrix from its (q, r, r) diagonal blocks."""
+    q, r, _ = blocks.shape
+    M = np.zeros((q * r, q * r))
+    for k in range(q):
+        M[k * r : (k + 1) * r, k * r : (k + 1) * r] = blocks[k]
+    return M
+
+
+def _diagonal_blocks(S, r):
+    """The (q, r, r) diagonal blocks of a dense matrix S."""
+    q = S.shape[0] // r
+    return np.stack([S[k * r : (k + 1) * r, k * r : (k + 1) * r] for k in range(q)])
+
+
 def test_coeff_matrix_single_block_closed_form():
     cfg = BasisConfig(q=1, r=2)
-    tensor = build_triple_tensor(cfg)
-    C = CoeffVector(cfg, np.array([1.5, -2.0]))
-    M = coeff_matrix(C, tensor).entries
+    tensor = build_triple_tensor(cfg).values
+    M = _block_diag(coeff_matrix(np.array([1.5, -2.0]), tensor))
     expected = np.array([[1.5, -2.0], [-2.0 / 3.0, 1.5]])
     np.testing.assert_allclose(M, expected, atol=1e-14)
 
 
 def test_coeff_matrix_is_block_diagonal_and_linear():
     cfg = BasisConfig(q=3, r=3)
-    tensor = build_triple_tensor(cfg)
+    tensor = build_triple_tensor(cfg).values
     rng = np.random.default_rng(7)
-    a = CoeffVector(cfg, rng.standard_normal(cfg.dim))
-    b = CoeffVector(cfg, rng.standard_normal(cfg.dim))
-    combo = CoeffVector(cfg, 2.0 * a.coeffs - 0.5 * b.coeffs)
-    Ma, Mb = coeff_matrix(a, tensor).entries, coeff_matrix(b, tensor).entries
-    Mc = coeff_matrix(combo, tensor).entries
+    a = rng.standard_normal(cfg.dim)
+    b = rng.standard_normal(cfg.dim)
+    combo = 2.0 * a - 0.5 * b
+    Ma, Mb = coeff_matrix(a, tensor), coeff_matrix(b, tensor)
+    Mc = coeff_matrix(combo, tensor)
     np.testing.assert_allclose(Mc, 2.0 * Ma - 0.5 * Mb, atol=1e-12)
-    # entries pairing different blocks vanish
-    mask = np.ones((cfg.dim, cfg.dim), dtype=bool)
-    for k in range(cfg.q):
-        mask[k * 3 : (k + 1) * 3, k * 3 : (k + 1) * 3] = False
-    assert np.all(Ma[mask] == 0.0)
+    # only the diagonal blocks are returned: entries pairing different
+    # blocks vanish by construction
+    assert Ma.shape == (cfg.q, cfg.r, cfg.r)
+    # a batch of vectors gives the blocks of each one
+    np.testing.assert_array_equal(coeff_matrix(np.stack([a, b]), tensor), np.stack([Ma, Mb]))
 
 
 def test_hat_vector_identity_single_block():
     cfg = BasisConfig(q=1, r=2)
-    tensor = build_triple_tensor(cfg)
-    S = OperatorMatrix(cfg, np.eye(2))
+    tensor = build_triple_tensor(cfg).values
     np.testing.assert_allclose(
-        hat_vector(S, tensor).coeffs, [4.0 / 3.0, 0.0], atol=1e-14
+        hat_vector(np.eye(2)[None], tensor), [4.0 / 3.0, 0.0], atol=1e-14
     )
 
 
@@ -167,10 +180,10 @@ def test_hat_vector_three_order_pattern():
     #             s12 + s21 + (2/5)(s23 + s32),
     #             s13 + s31 + (2/3) s22 + (2/7) s33)
     cfg = BasisConfig(q=4, r=3)
-    tensor = build_triple_tensor(cfg)
+    tensor = build_triple_tensor(cfg).values
     rng = np.random.default_rng(11)
     S = rng.standard_normal((12, 12))
-    hat = hat_vector(OperatorMatrix(cfg, S), tensor).coeffs
+    hat = hat_vector(_diagonal_blocks(S, 3), tensor)
     for k in range(4):
         s = S[k * 3 : (k + 1) * 3, k * 3 : (k + 1) * 3]
         expected = [
@@ -182,28 +195,27 @@ def test_hat_vector_three_order_pattern():
 
 
 def test_hat_vector_ignores_cross_block_entries():
+    # the quadratic form of a full S projects like that of its diagonal
+    # blocks alone, which are all hat_vector takes
     cfg = BasisConfig(q=3, r=2)
-    tensor = build_triple_tensor(cfg)
+    tensor = build_triple_tensor(cfg).values
     rng = np.random.default_rng(3)
     S = rng.standard_normal((6, 6))
-    S_blocks = np.zeros_like(S)
-    for k in range(3):
-        S_blocks[k * 2 : (k + 1) * 2, k * 2 : (k + 1) * 2] = S[
-            k * 2 : (k + 1) * 2, k * 2 : (k + 1) * 2
-        ]
-    full = hat_vector(OperatorMatrix(cfg, S), tensor).coeffs
-    blocks = hat_vector(OperatorMatrix(cfg, S_blocks), tensor).coeffs
-    np.testing.assert_allclose(full, blocks, atol=1e-15)
+    blocks = hat_vector(_diagonal_blocks(S, 2), tensor)
+    proj = project_function(
+        cfg, np.vectorize(lambda t: eval_basis(cfg, t) @ S @ eval_basis(cfg, t))
+    )
+    np.testing.assert_allclose(blocks, proj.coeffs, atol=1e-12)
 
 
 def test_coeff_matrix_matches_projection_oracle():
     # row i of C~ holds the projection coefficients of b_i * u
     cfg = BasisConfig(q=2, r=3)
-    tensor = build_triple_tensor(cfg)
+    tensor = build_triple_tensor(cfg).values
     rng = np.random.default_rng(23)
     for _ in range(5):
         C = CoeffVector(cfg, rng.uniform(-1.0, 1.0, cfg.dim))
-        M = coeff_matrix(C, tensor).entries
+        M = _block_diag(coeff_matrix(C.coeffs, tensor))
         for i in range(cfg.dim):
             proj = project_function(
                 cfg, np.vectorize(lambda t: eval_basis(cfg, t)[i] * reconstruct(C, t))
@@ -214,11 +226,11 @@ def test_coeff_matrix_matches_projection_oracle():
 def test_hat_vector_matches_projection_oracle():
     # hat(S) holds the projection coefficients of t -> B(t)^T S B(t)
     cfg = BasisConfig(q=2, r=3)
-    tensor = build_triple_tensor(cfg)
+    tensor = build_triple_tensor(cfg).values
     rng = np.random.default_rng(29)
     for _ in range(5):
         S = rng.uniform(-1.0, 1.0, (cfg.dim, cfg.dim))
-        hat = hat_vector(OperatorMatrix(cfg, S), tensor).coeffs
+        hat = hat_vector(_diagonal_blocks(S, cfg.r), tensor)
         proj = project_function(
             cfg, np.vectorize(lambda t: eval_basis(cfg, t) @ S @ eval_basis(cfg, t))
         )
@@ -226,13 +238,13 @@ def test_hat_vector_matches_projection_oracle():
 
 
 def test_config_mismatch_rejected():
-    cfg_a = BasisConfig(q=1, r=3)
-    cfg_b = BasisConfig(q=2, r=3)
-    tensor = build_triple_tensor(cfg_a)
+    # raw arrays carry no config: a tensor of the wrong order r cannot be
+    # matched against the coefficient or block shapes
+    tensor = build_triple_tensor(BasisConfig(q=1, r=3)).values
     with pytest.raises(ValueError):
-        coeff_matrix(CoeffVector(cfg_b, np.zeros(6)), tensor)
+        coeff_matrix(np.zeros(4), tensor)
     with pytest.raises(ValueError):
-        hat_vector(OperatorMatrix(cfg_b, np.zeros((6, 6))), tensor)
+        hat_vector(np.zeros((2, 2, 2)), tensor)
 
 
 @settings(deadline=None, max_examples=15)

@@ -8,12 +8,11 @@ import pytest
 from legpulse.basis import BasisConfig, CoeffVector, eval_basis, project_function, reconstruct
 from legpulse.solver import (
     AssembledSystem,
+    _jacobian,
     assemble,
     derivative_max,
     error_bound,
     residual,
-    residual_fredholm,
-    residual_volterra,
     solve,
 )
 
@@ -64,7 +63,7 @@ def test_zero_scalar_fredholm_returns_forcing_unchanged():
     report = solve(system)
     assert report.converged
     assert report.iterations == 0
-    np.testing.assert_array_equal(report.Y.coeffs, system.forcing.coeffs)
+    np.testing.assert_array_equal(report.Y.coeffs, system.forcing)
     assert report.residual_norm == 0.0
 
 
@@ -76,14 +75,14 @@ def test_zero_scalar_volterra_returns_forcing_unchanged():
     report = solve(system)
     assert report.converged
     assert report.iterations == 0
-    np.testing.assert_array_equal(report.Y.coeffs, system.forcing.coeffs)
+    np.testing.assert_array_equal(report.Y.coeffs, system.forcing)
 
 
 def test_fredholm_residual_at_exact_solution_projection():
     # the projection of exp(t) is (e-1, 9-3e); it does NOT satisfy the
     # projected system: the residual max-norm is 0.0522159...
     system = fredholm_exp_system()
-    res = residual_fredholm(system, np.array([E - 1.0, 9.0 - 3.0 * E]))
+    res = residual(system, np.array([E - 1.0, 9.0 - 3.0 * E]))
     assert np.max(np.abs(res)) == pytest.approx(0.0522159491, abs=1e-6)
 
 
@@ -106,7 +105,7 @@ def test_volterra_residual_small_at_published_vector():
             0.770834, 0.218753, 0.010543,
         ]
     )
-    res = residual_volterra(volterra_sin_system(), published)
+    res = residual(volterra_sin_system(), published)
     assert np.max(np.abs(res)) <= 1e-5
 
 
@@ -117,18 +116,10 @@ def test_volterra_newton_converges_quickly():
     assert report.residual_norm <= 1e-12
 
 
-def test_residual_dispatch():
-    system = fredholm_exp_system()
-    y = np.array([1.0, 0.5])
-    np.testing.assert_array_equal(residual(system, y), residual_fredholm(system, y))
-
-
-def test_forward_difference_jacobian_close_to_central():
-    from legpulse.solver import _fd_jacobian
-
+def test_jacobian_close_to_central():
     system = fredholm_exp_system()
     y = np.array([1.2, 0.7])
-    jac = _fd_jacobian(system, y, residual(system, y))
+    jac = _jacobian(system, y)
     h = 1e-6
     central = np.empty((2, 2))
     for i in range(2):
@@ -150,20 +141,13 @@ def test_solve_validates_inputs():
 def test_config_mismatch_between_pieces_rejected():
     good = fredholm_exp_system()
     other = fredholm_exp_system(r=3, q=1)
-    with pytest.raises(ValueError, match="built for"):
-        AssembledSystem(
-            kind=good.kind,
-            scalar=good.scalar,
-            kernel=other.kernel,
-            forcing=good.forcing,
-            m=good.m,
-            n=good.n,
-            ics=good.ics,
-            tensor=good.tensor,
-            P=good.P,
-            L=good.L,
-            J=good.J,
-        )
+    pieces = dict(vars(good))
+    with pytest.raises(ValueError, match="kernel was built for"):
+        AssembledSystem(**{**pieces, "kernel": other.kernel})
+    with pytest.raises(ValueError, match="tensor was built for"):
+        AssembledSystem(**{**pieces, "tensor": other.tensor})
+    with pytest.raises(ValueError, match="ics was built for"):
+        AssembledSystem(**{**pieces, "ics": other.ics})
 
 
 def test_fredholm_residual_matches_direct_quadrature():
@@ -194,10 +178,10 @@ def test_fredholm_residual_matches_direct_quadrature():
         expected = (
             y
             + lam * project_function(cfg, lambda t: integral).coeffs
-            - system.forcing.coeffs
+            - system.forcing
         )
         np.testing.assert_allclose(
-            residual_fredholm(system, y), expected, atol=1e-8
+            residual(system, y), expected, atol=1e-8
         )
 
 
@@ -228,9 +212,9 @@ def test_volterra_residual_matches_direct_quadrature_for_block_constants():
     expected = (
         y
         + beta * project_function(cfg, np.vectorize(running_integral)).coeffs
-        - system.forcing.coeffs
+        - system.forcing
     )
-    np.testing.assert_allclose(residual_volterra(system, y), expected, atol=1e-10)
+    np.testing.assert_allclose(residual(system, y), expected, atol=1e-10)
 
 
 def test_error_bound_values():
@@ -273,3 +257,107 @@ def test_derivative_max_validation():
         derivative_max(math.exp, -1)
     with pytest.raises(ValueError):
         derivative_max(math.exp, 2, 0.0, 0.01)
+
+
+def _random_system(kind, m, n, r, q, seed):
+    """A system with a smooth random kernel and forcing, for oracle checks."""
+    rng = np.random.default_rng(seed)
+    a, b, c = rng.uniform(-1.0, 1.0, 3)
+    return assemble(
+        BasisConfig(q=q, r=r),
+        kind,
+        rng.uniform(-2.0, 2.0),
+        lambda t, s: np.exp(a * t - b * s) + c * t * s,
+        lambda t: np.cos(a * t) + b,
+        m,
+        n,
+        tuple(rng.uniform(-1.0, 1.0, max(m, n))),
+    )
+
+
+def _dense_residual(system, y):
+    """The residual from dense matrices, block-diagonal matrices built in full:
+    Y + c K C~_m L Y_n - F (Fredholm), Y + c hat(K C~_m C~_n P) - F (Volterra)."""
+    cfg, t = system.config, system.tensor
+    r, q = cfg.r, cfg.q
+
+    def lifted(order):
+        out = y
+        for a in system.ics.values[:order]:
+            y0 = np.zeros(cfg.dim)
+            y0[::r] = a
+            out = system.J @ (out - y0)
+        return out
+
+    def coeff(c):
+        M = np.zeros((cfg.dim, cfg.dim))
+        for k in range(q):
+            block = slice(k * r, (k + 1) * r)
+            M[block, block] = np.einsum("j,ijm->im", c[block], t)
+        return M
+
+    ym, yn = lifted(system.m), lifted(system.n)
+    if system.kind == "fredholm":
+        integral = system.kernel @ coeff(ym) @ system.L @ yn
+    else:
+        inner = system.kernel @ coeff(ym) @ coeff(yn) @ system.P
+        integral = np.empty(cfg.dim)
+        for k in range(q):
+            block = slice(k * r, (k + 1) * r)
+            integral[block] = np.einsum("ij,ijm->m", inner[block, block], t)
+    return y + system.scalar * integral - system.forcing
+
+
+SHAPES = [(1, 1), (3, 4), (5, 2)]
+ORDERS = [(m, n) for m in range(3) for n in range(3)]
+
+
+@pytest.mark.parametrize("kind", ["fredholm", "volterra"])
+@pytest.mark.parametrize("r,q", SHAPES + [(1, 3), (4, 1)])
+def test_residual_matches_dense_oracle(kind, r, q):
+    rng = np.random.default_rng(r * 10 + q)
+    for seed, (m, n) in enumerate(ORDERS):
+        system = _random_system(kind, m, n, r, q, seed)
+        y = rng.uniform(-1.0, 1.0, system.config.dim)
+        expected = _dense_residual(system, y)
+        scale = max(1.0, float(np.max(np.abs(expected))))
+        np.testing.assert_allclose(residual(system, y), expected, rtol=1e-12, atol=1e-12 * scale)
+
+
+@pytest.mark.parametrize("kind", ["fredholm", "volterra"])
+@pytest.mark.parametrize("r,q", SHAPES)
+def test_batch_residual_matches_columns(kind, r, q):
+    system = _random_system(kind, 1, 2, r, q, 5)
+    batch = np.random.default_rng(6).uniform(-1.0, 1.0, (system.config.dim, 4))
+    columns = np.column_stack([residual(system, col) for col in batch.T])
+    np.testing.assert_allclose(residual(system, batch), columns, rtol=1e-14, atol=1e-14)
+
+
+@pytest.mark.parametrize("kind", ["fredholm", "volterra"])
+@pytest.mark.parametrize("m,n", ORDERS)
+@pytest.mark.parametrize("r,q", SHAPES)
+def test_jacobian_matches_central_difference_oracle(kind, m, n, r, q):
+    system = _random_system(kind, m, n, r, q, 7)
+    dim = system.config.dim
+    y = np.random.default_rng(8).uniform(-1.0, 1.0, dim)
+    h = 1e-6
+    central = np.column_stack(
+        [(residual(system, y + h * e) - residual(system, y - h * e)) / (2 * h) for e in np.eye(dim)]
+    )
+    jac = _jacobian(system, y)
+    scale = max(1.0, float(np.max(np.abs(jac))))
+    np.testing.assert_allclose(jac, central, rtol=1e-5, atol=1e-7 * scale)
+
+
+@pytest.mark.parametrize("kind", ["fredholm", "volterra"])
+@pytest.mark.parametrize("r,q", SHAPES)
+def test_jacobian_is_exact_by_polarization(kind, r, q):
+    # R is quadratic, so J(y) d = (R(y + d) - R(y - d)) / 2 for every d
+    rng = np.random.default_rng(9)
+    for m, n in ORDERS:
+        system = _random_system(kind, m, n, r, q, m * 3 + n)
+        y = rng.uniform(-1.0, 1.0, system.config.dim)
+        d = rng.uniform(-1.0, 1.0, system.config.dim)
+        polar = (residual(system, y + d) - residual(system, y - d)) / 2.0
+        scale = max(1.0, float(np.max(np.abs(polar))))
+        np.testing.assert_allclose(_jacobian(system, y) @ d, polar, rtol=1e-12, atol=1e-12 * scale)
