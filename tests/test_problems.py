@@ -348,3 +348,50 @@ def test_cli_names_runtime_domain_error(tmp_path, capsys, kernel, f, message):
     captured = capsys.readouterr()
     assert code == 1
     assert f"could not assemble {problem}: {message}" in captured.err
+
+
+def test_cli_rejects_forcing_whose_projection_overflows(tmp_path, capsys):
+    # every sample of f is finite; only the projection's sum overflows
+    problem = tmp_path / "overflow.prob"
+    problem.write_text(
+        "kind = fredholm\nlambda = 1\nkernel = 1\nf = 1.5e308\nm = 0\nn = 0\nr = 2\nq = 1\n"
+    )
+    code = main(["solve", str(problem)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert f"could not assemble {problem}" in captured.err
+
+
+SPURIOUS_ROOT_TEXT = """\
+kind = fredholm
+lambda = {scalar}
+kernel = 1
+f = t^2 + 2*{scalar}
+m = 1
+n = 2
+ics = 0, 0
+r = 3
+q = 2
+exact = t^2
+"""
+
+
+@pytest.mark.parametrize(
+    "scalar",
+    [
+        pytest.param(
+            "1",
+            marks=pytest.mark.xfail(
+                strict=True,
+                reason="ROADMAP item 1: Newton from Y = F converges to a second, "
+                "spurious root with Y(0) = 0.0414 (grid error 4.1e-2)",
+            ),
+        ),
+        "-3",
+    ],
+)
+def test_solution_in_basis_span_is_recovered(scalar):
+    # t^2 lies in the span at r = 3, so the intended root reproduces it to rounding
+    output = run(parse_problem(SPURIOUS_ROOT_TEXT.format(scalar=scalar)))
+    assert output.report.converged
+    assert output.max_abs_error <= 1e-10
