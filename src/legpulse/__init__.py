@@ -12,8 +12,6 @@ algebraic system with a damped Newton iteration.
 
 from .basis import (
     BasisConfig,
-    CoeffVector,
-    OperatorMatrix,
     block_of,
     eval_basis,
     project_function,
@@ -32,7 +30,6 @@ from .exprlang import (
 from .legendre import QuadratureRule, gauss_rule, legendre_table
 from .lift import InitialConditions, lift, project_initial
 from .opmatrices import (
-    TripleTensor,
     build_J,
     build_L,
     build_P,
@@ -72,12 +69,10 @@ __all__ = [
     "BasisConfig",
     "CASES",
     "CheckResult",
-    "CoeffVector",
     "ExprEvalError",
     "ExprSyntaxError",
     "GridRow",
     "InitialConditions",
-    "OperatorMatrix",
     "ProblemFileError",
     "ProblemSpec",
     "QuadratureRule",
@@ -85,7 +80,6 @@ __all__ = [
     "RunFailure",
     "RunOutput",
     "SolveReport",
-    "TripleTensor",
     "UnknownIdentifier",
     "assemble",
     "block_of",

@@ -46,42 +46,6 @@ class BasisConfig:
         return self.r * self.q
 
 
-@dataclass
-class CoeffVector:
-    """Block-major coefficient vector of a function in the hybrid space."""
-
-    config: BasisConfig
-    coeffs: np.ndarray
-
-    def __post_init__(self):
-        self.coeffs = np.asarray(self.coeffs, dtype=float)
-        if self.coeffs.shape != (self.config.dim,):
-            raise ValueError(
-                f"coefficient vector must have length {self.config.dim}, "
-                f"got shape {self.coeffs.shape}"
-            )
-        if not np.all(np.isfinite(self.coeffs)):
-            raise ValueError("coefficient vector contains non-finite entries")
-
-
-@dataclass
-class OperatorMatrix:
-    """Dense rq x rq matrix acting on hybrid coefficient vectors."""
-
-    config: BasisConfig
-    entries: np.ndarray
-
-    def __post_init__(self):
-        self.entries = np.asarray(self.entries, dtype=float)
-        n = self.config.dim
-        if self.entries.shape != (n, n):
-            raise ValueError(
-                f"operator matrix must be {n}x{n}, got shape {self.entries.shape}"
-            )
-        if not np.all(np.isfinite(self.entries)):
-            raise ValueError("operator matrix contains non-finite entries")
-
-
 @lru_cache(maxsize=None)
 def _projection_data(config: BasisConfig):
     """Per-block quadrature nodes, weights and Legendre values, cached.
@@ -118,35 +82,45 @@ def eval_basis(config: BasisConfig, t: ArrayLike) -> np.ndarray:
     return out.reshape(t.shape + (config.dim,))
 
 
+def _require_finite(projected: np.ndarray, what: str) -> np.ndarray:
+    # finite samples can still overflow in the weighted sums
+    if not np.all(np.isfinite(projected)):
+        raise ValueError(f"{what} contains non-finite entries")
+    return projected
+
+
 def project_function(
     config: BasisConfig, f: Callable[[np.ndarray], np.ndarray]
-) -> CoeffVector:
-    """L2 projection of f onto the hybrid space.
+) -> np.ndarray:
+    """L2 projection of f onto the hybrid space, a (dim,) coefficient vector.
 
     f must be numpy-vectorized: it is called once, on the (q, quad_points)
     array of all quadrature nodes.  Coefficient (k, m) is q(2m+1) times the
     integral of f against the basis function over block k, evaluated with
     the per-block Gauss rule, so it is exact whenever f restricted to the
-    block is a polynomial of degree <= 2*quad_points - 1.
+    block is a polynomial of degree <= 2*quad_points - 1.  Raises ValueError
+    when f or the projection is not finite.
     """
     ts, w, leg, scale = _projection_data(config)
     vals = np.broadcast_to(np.asarray(f(ts), dtype=float), ts.shape)
     if not np.all(np.isfinite(vals)):
         i = tuple(np.argwhere(~np.isfinite(vals))[0])
         raise ValueError(f"integrand returned {float(vals[i])!r} at node t={float(ts[i])!r}")
-    return CoeffVector(config, (scale * ((w * vals) @ leg.T)).ravel())
+    return _require_finite((scale * ((w * vals) @ leg.T)).ravel(), "coefficient vector")
 
 
 def project_kernel(
     config: BasisConfig, g: Callable[[np.ndarray, np.ndarray], np.ndarray]
-) -> OperatorMatrix:
-    """L2 projection of a two-variable kernel g(t, s) onto the tensor basis.
+) -> np.ndarray:
+    """L2 projection of a two-variable kernel g(t, s) onto the tensor basis,
+    a (dim, dim) array.
 
     g must be numpy-vectorized: it is called once, with t of shape
     (q, quad_points, 1, 1) and s of shape (q, quad_points), the quadrature
     nodes.  Entry (i, j) pairs basis function i in t with basis function j
     in s, normalized like the 1-D projection in each variable; the integral
-    is a tensor-product Gauss rule over each block pair.
+    is a tensor-product Gauss rule over each block pair.  Raises ValueError
+    when g or the projection is not finite.
     """
     ts, w, leg, scale = _projection_data(config)
     gv = np.broadcast_to(np.asarray(g(ts[:, :, None, None], ts), dtype=float), ts.shape * 2)
@@ -159,14 +133,20 @@ def project_kernel(
     wleg = scale[:, None] * leg * w
     # contract the t nodes of every block, then the s nodes
     half = (wleg @ gv.reshape(ts.shape + (ts.size,))).reshape((config.dim,) + ts.shape)
-    return OperatorMatrix(config, (half @ wleg.T).reshape(config.dim, config.dim))
+    return _require_finite((half @ wleg.T).reshape(config.dim, config.dim), "operator matrix")
 
 
-def reconstruct(Y: CoeffVector, t: ArrayLike):
+def reconstruct(config: BasisConfig, y: np.ndarray, t: ArrayLike):
     """Value at t, a point or an array of points in [0, 1), of the function
-    with hybrid coefficients Y; a float or an array of t's shape."""
-    basis = eval_basis(Y.config, t)
-    # one dot product per point, as eval_basis(t) @ Y at a single t, so a
+    with hybrid coefficients y, a (dim,) array; a float or an array of t's
+    shape."""
+    y = np.asarray(y, dtype=float)
+    if y.shape != (config.dim,):
+        raise ValueError(
+            f"coefficient vector must have length {config.dim}, got shape {y.shape}"
+        )
+    basis = eval_basis(config, t)
+    # one dot product per point, as eval_basis(t) @ y at a single t, so a
     # value does not depend on how many points are asked for at once
-    values = (basis[..., None, :] @ Y.coeffs[:, None])[..., 0, 0]
+    values = (basis[..., None, :] @ y[:, None])[..., 0, 0]
     return float(values) if values.ndim == 0 else values

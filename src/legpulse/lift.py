@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .basis import BasisConfig, CoeffVector
+from .basis import BasisConfig
 
 
 @dataclass
@@ -33,11 +33,12 @@ class InitialConditions:
         return len(self.values)
 
 
-def project_initial(a: float, config: BasisConfig) -> CoeffVector:
-    """Projection of the constant function a: value a in every order-0 slot."""
+def project_initial(a: float, config: BasisConfig) -> np.ndarray:
+    """Projection of the constant function a, a (dim,) array: value a in
+    every order-0 slot."""
     coeffs = np.zeros(config.dim)
     coeffs[:: config.r] = a
-    return CoeffVector(config, coeffs)
+    return coeffs
 
 
 def lift(y: np.ndarray, n: int, ics: InitialConditions, J: np.ndarray) -> np.ndarray:

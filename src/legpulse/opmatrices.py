@@ -5,8 +5,10 @@ running integral; L is the diagonal Gram matrix; J = (P^T)^-1 drives the
 derivative lift. Multiplication of two basis expansions is captured by a
 block-local tensor of normalized triple products, from which the coefficient
 matrix of a vector and the row vector of a quadratic form are assembled for
-arbitrary (r, q). Both work on raw arrays, block by block, and accept
-leading batch axes.
+arbitrary (r, q). Both work block by block and accept leading batch axes.
+
+The build_* functions depend on the config alone, so each result is built
+once per config, cached for the life of the process, and returned read-only.
 
 Products of basis functions have degree up to 2(r-1); projecting them back
 into the degree-(r-1) space silently drops the higher modes. That truncation
@@ -15,35 +17,14 @@ is inherent to the method and is applied uniformly here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
-from .basis import BasisConfig, OperatorMatrix
+from .basis import BasisConfig
 from .legendre import gauss_rule, legendre_table
 
 _INVERSE_RESIDUAL_TOL = 1e-10
-
-
-@dataclass
-class TripleTensor:
-    """Block-local tensor t[i, j, m] = (2m+1)/2 * integral of p_i p_j p_m.
-
-    Equals the integral over one block of b_i b_j b_m divided by <b_m, b_m>;
-    identical for every block by translation invariance. Symmetric in (i, j),
-    zero whenever i + j + m is odd, and t[0, j, m] is the identity.
-    """
-
-    config: BasisConfig
-    values: np.ndarray
-
-    def __post_init__(self):
-        r = self.config.r
-        self.values = np.asarray(self.values, dtype=float)
-        if self.values.shape != (r, r, r):
-            raise ValueError(
-                f"triple tensor must be {r}x{r}x{r}, got {self.values.shape}"
-            )
 
 
 def _integration_block(r: int, q: int) -> np.ndarray:
@@ -65,8 +46,15 @@ def _integration_block(r: int, q: int) -> np.ndarray:
     return E / (2 * q)
 
 
-def build_P(config: BasisConfig) -> OperatorMatrix:
-    """Operational matrix of integration.
+def _frozen(a: np.ndarray) -> np.ndarray:
+    # the caches hand the same array to every caller
+    a.setflags(write=False)
+    return a
+
+
+@lru_cache(maxsize=None)
+def build_P(config: BasisConfig) -> np.ndarray:
+    """Operational matrix of integration, (dim, dim).
 
     Block upper-triangular: the within-block part on the diagonal, and the
     saturated value of each completed block (1/q, carried by the constant
@@ -79,44 +67,51 @@ def build_P(config: BasisConfig) -> OperatorMatrix:
         P[k * r : (k + 1) * r, k * r : (k + 1) * r] = E
         for kp in range(k + 1, q):
             P[k * r, kp * r] = 1.0 / q
-    return OperatorMatrix(config, P)
+    return _frozen(P)
 
 
-def build_L(config: BasisConfig) -> OperatorMatrix:
-    """Gram matrix of the basis: diagonal with 1/((2m+1)q) per (k, m) slot."""
+@lru_cache(maxsize=None)
+def build_L(config: BasisConfig) -> np.ndarray:
+    """Gram matrix of the basis, (dim, dim): diagonal with 1/((2m+1)q) per
+    (k, m) slot."""
     diag = np.tile(1.0 / ((2.0 * np.arange(config.r) + 1.0) * config.q), config.q)
-    return OperatorMatrix(config, np.diag(diag))
+    return _frozen(np.diag(diag))
 
 
-def build_J(config: BasisConfig) -> OperatorMatrix:
-    """Inverse transpose of the integration matrix, residual-verified.
+@lru_cache(maxsize=None)
+def build_J(config: BasisConfig) -> np.ndarray:
+    """Inverse transpose of the integration matrix, (dim, dim), residual-verified.
 
     Dense LU with partial pivoting (LAPACK); raises LinAlgError on a singular
     factorization and ArithmeticError if the inverse fails the 1e-10 residual
     check. Neither is expected for any valid config.
     """
-    P = build_P(config).entries
+    P = build_P(config)
     J = np.linalg.inv(P.T)
     residual = np.max(np.abs(J @ P.T - np.eye(config.dim)))
     if residual > _INVERSE_RESIDUAL_TOL:
         raise ArithmeticError(
             f"inverse of P^T failed the residual check: {residual:.3e}"
         )
-    return OperatorMatrix(config, J)
+    return _frozen(J)
 
 
-def build_triple_tensor(config: BasisConfig) -> TripleTensor:
+@lru_cache(maxsize=None)
+def build_triple_tensor(config: BasisConfig) -> np.ndarray:
     """All normalized triple products of block-local Legendre polynomials.
 
-    The Gauss size ceil((3(r-1)+1)/2) integrates the degree-3(r-1) products
-    exactly.
+    Returns the (r, r, r) array t[i, j, m] = (2m+1)/2 * integral of
+    p_i p_j p_m, which is the integral over one block of b_i b_j b_m divided
+    by <b_m, b_m> and the same for every block by translation invariance.
+    It is symmetric in (i, j), zero whenever i + j + m is odd, and t[0, j, m]
+    is the identity.  The Gauss size ceil((3(r-1)+1)/2) integrates the
+    degree-3(r-1) products exactly.
     """
     r = config.r
     rule = gauss_rule(-(-(3 * (r - 1) + 1) // 2))
     leg = legendre_table(r, rule.nodes)
     scale = (2.0 * np.arange(r) + 1.0) / 2.0
-    values = np.einsum("n,in,jn,mn,m->ijm", rule.weights, leg, leg, leg, scale)
-    return TripleTensor(config, values)
+    return _frozen(np.einsum("n,in,jn,mn,m->ijm", rule.weights, leg, leg, leg, scale))
 
 
 def coeff_matrix(c: np.ndarray, tensor: np.ndarray) -> np.ndarray:

@@ -323,7 +323,7 @@ def run(spec: ProblemSpec, tol: float = 1e-12, max_iter: int = 100) -> RunOutput
     report = solve(system, tol=tol, max_iter=max_iter)
 
     try:
-        y_approx = reconstruct(report.Y, spec.grid)
+        y_approx = reconstruct(config, report.Y, spec.grid)
         if spec.exact is None:
             rows = [GridRow(t, float(y)) for t, y in zip(spec.grid, y_approx)]
         else:
@@ -381,7 +381,7 @@ def format_report(output: RunOutput) -> str:
     ]
     if output.bound is not None:
         lines.append(f"error bound: {output.bound:.6e}")
-    coeffs = ", ".join(format(c, ".12g") for c in report.Y.coeffs)
+    coeffs = ", ".join(format(c, ".12g") for c in report.Y)
     lines.append(f"coefficients: [{coeffs}]")
     lines.append("")
     lines.append(f"{'t':>6}  {'y_approx':>24}  {'y_exact':>24}  {'abs_error':>12}")

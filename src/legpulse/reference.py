@@ -201,7 +201,7 @@ def run_case(
         _deviation_check(
             case.name,
             "coefficients match published vector",
-            report.Y.coeffs,
+            report.Y,
             case.published_solution,
             case.solution_tol,
         ),

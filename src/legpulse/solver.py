@@ -15,7 +15,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .basis import BasisConfig, CoeffVector, project_function, project_kernel
+from .basis import BasisConfig, project_function, project_kernel
 from .lift import InitialConditions, lift
 from .opmatrices import (
     build_J,
@@ -40,7 +40,8 @@ class AssembledSystem:
     (integral from 0 to t); scalar multiplies the integral term; m and n
     are the derivative orders inside the integrand.  kernel, P, L and J are
     (dim, dim) arrays, forcing is (dim,) and tensor is the (r, r, r) triple
-    tensor, all for config.
+    tensor, all for config; assemble shares P, L, J and tensor read-only
+    with every other system of the same config.
     """
 
     config: BasisConfig
@@ -88,9 +89,10 @@ class AssembledSystem:
 
 @dataclass
 class SolveReport:
-    """Outcome of a Newton run: solution coefficients plus diagnostics."""
+    """Outcome of a Newton run: the (dim,) solution coefficients plus
+    diagnostics."""
 
-    Y: CoeffVector
+    Y: np.ndarray
     iterations: int
     residual_norm: float
     converged: bool
@@ -115,15 +117,15 @@ def assemble(
         config=config,
         kind=kind,
         scalar=float(scalar),
-        kernel=project_kernel(config, kernel).entries,
-        forcing=project_function(config, forcing).coeffs,
+        kernel=project_kernel(config, kernel),
+        forcing=project_function(config, forcing),
         m=int(m),
         n=int(n),
         ics=InitialConditions(tuple(ics), config),
-        tensor=build_triple_tensor(config).values,
-        P=build_P(config).entries,
-        L=build_L(config).entries,
-        J=build_J(config).entries,
+        tensor=build_triple_tensor(config),
+        P=build_P(config),
+        L=build_L(config),
+        J=build_J(config),
     )
 
 
@@ -202,7 +204,7 @@ def _newton(
             break
         iterations += 1
     return SolveReport(
-        Y=CoeffVector(system.config, y),
+        Y=y,
         iterations=iterations,
         residual_norm=norm,
         converged=norm <= tol,

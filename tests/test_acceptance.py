@@ -15,7 +15,6 @@ import pytest
 
 from legpulse.basis import (
     BasisConfig,
-    CoeffVector,
     eval_basis,
     project_function,
     reconstruct,
@@ -65,7 +64,7 @@ def volterra_run():
 def test_criterion_1a_solution_matches_published_pair(coarse_run):
     output, _ = coarse_run
     published = np.array([E - 1.0, 9.0 - 3.0 * E])
-    deviation = float(np.max(np.abs(output.report.Y.coeffs - published)))
+    deviation = float(np.max(np.abs(output.report.Y - published)))
     announce(
         "1a",
         deviation <= 1e-6,
@@ -77,10 +76,10 @@ def test_criterion_1a_solution_matches_published_pair(coarse_run):
 
 def test_criterion_1b_published_pair_reconstructs_published_line():
     cfg = BasisConfig(q=1, r=2)
-    Y = CoeffVector(cfg, np.array([E - 1.0, 9.0 - 3.0 * E]))
+    Y = np.array([E - 1.0, 9.0 - 3.0 * E])
     ts = np.linspace(0.0, 1.0, 1000, endpoint=False)
     deviation = max(
-        abs(reconstruct(Y, t) - ((4.0 * E - 10.0) + (18.0 - 6.0 * E) * t))
+        abs(reconstruct(cfg, Y, t) - ((4.0 * E - 10.0) + (18.0 - 6.0 * E) * t))
         for t in ts
     )
     ok = announce(
@@ -122,7 +121,7 @@ def test_criterion_2_fine_fredholm_reproduction(fine_run):
     output, _ = fine_run
     case = CASES[1]
     dev_y = float(
-        np.max(np.abs(output.report.Y.coeffs - np.array(case.published_solution)))
+        np.max(np.abs(output.report.Y - np.array(case.published_solution)))
     )
     errors = [row.abs_error for row in output.rows]
     dev_table = max(abs(e - p) for e, p in zip(errors, case.published_errors))
@@ -142,7 +141,7 @@ def test_criterion_3_volterra_reproduction(volterra_run):
     output, _ = volterra_run
     case = CASES[2]
     dev_y = float(
-        np.max(np.abs(output.report.Y.coeffs - np.array(case.published_solution)))
+        np.max(np.abs(output.report.Y - np.array(case.published_solution)))
     )
     errors = [row.abs_error for row in output.rows]
     dev_table = max(abs(e - p) for e, p in zip(errors, case.published_errors))
@@ -218,9 +217,9 @@ def test_criterion_4_operational_matrix_oracle_suite():
         for q in range(1, 6):
             cfg = BasisConfig(q=q, r=r)
             ts, ws, B, norms = _sampling(cfg)
-            tensor = build_triple_tensor(cfg).values
+            tensor = build_triple_tensor(cfg)
 
-            P = build_P(cfg).entries
+            P = build_P(cfg)
             for i in range(cfg.dim):
                 oracle = _project_samples(
                     _cumulative_basis_samples(cfg, i, ts), ws, B, norms
@@ -229,10 +228,10 @@ def test_criterion_4_operational_matrix_oracle_suite():
 
             gram = (B * ws) @ B.T
             worst["L"] = max(
-                worst["L"], float(np.max(np.abs(build_L(cfg).entries - gram)))
+                worst["L"], float(np.max(np.abs(build_L(cfg) - gram)))
             )
 
-            JPt = build_J(cfg).entries @ P.T
+            JPt = build_J(cfg) @ P.T
             worst["J"] = max(
                 worst["J"], float(np.max(np.abs(JPt - np.eye(cfg.dim))))
             )
@@ -254,7 +253,7 @@ def test_criterion_4_operational_matrix_oracle_suite():
 
     # the r=3, q=4 hat vector reproduces the published closed-form pattern
     cfg = BasisConfig(q=4, r=3)
-    tensor = build_triple_tensor(cfg).values
+    tensor = build_triple_tensor(cfg)
     S = rng.uniform(-1.0, 1.0, (12, 12))
     hat = hat_vector(_diagonal_blocks(S, 3), tensor)
     pattern_dev = 0.0
@@ -293,14 +292,14 @@ def test_criterion_5_derivative_lift_identities():
     for r in range(1, 5):
         for q in range(1, 5):
             cfg = BasisConfig(q=q, r=r)
-            J = build_J(cfg).entries
+            J = build_J(cfg)
             for n in range(5):
                 Y = rng.uniform(-1.0, 1.0, cfg.dim)
                 ics = InitialConditions(tuple(rng.uniform(-1.0, 1.0, n)), cfg)
                 got = lift(Y, n, ics, J)
                 expected = np.linalg.matrix_power(J, n) @ Y
                 for k in range(1, n + 1):
-                    y0 = project_initial(ics.values[n - k], cfg).coeffs
+                    y0 = project_initial(ics.values[n - k], cfg)
                     expected -= np.linalg.matrix_power(J, k) @ y0
                 scale = max(1.0, float(np.max(np.abs(expected))))
                 worst_closed = max(
@@ -310,18 +309,18 @@ def test_criterion_5_derivative_lift_identities():
     worst_poly = 0.0
     for r in range(2, 7):
         cfg = BasisConfig(q=1, r=r)
-        J = build_J(cfg).entries
-        Y = project_function(cfg, lambda t: sum(t**j for j in range(r))).coeffs
+        J = build_J(cfg)
+        Y = project_function(cfg, lambda t: sum(t**j for j in range(r)))
         got = lift(Y, 1, InitialConditions((1.0,), cfg), J)
         expected = project_function(
             cfg, lambda t: sum(j * t ** (j - 1) for j in range(1, r))
-        ).coeffs
+        )
         worst_poly = max(worst_poly, float(np.max(np.abs(got - expected))))
 
     cfg = BasisConfig(q=3, r=3)
     Y = np.arange(9.0)
     identity_ok = np.array_equal(
-        lift(Y, 0, InitialConditions((), cfg), build_J(cfg).entries), Y
+        lift(Y, 0, InitialConditions((), cfg), build_J(cfg)), Y
     )
 
     ok = announce(
@@ -359,12 +358,12 @@ def test_criterion_7_robustness(tmp_path, capsys):
         fred.converged
         and fred.iterations == 0
         and np.array_equal(
-            fred.Y.coeffs, project_function(cfg, np.sin).coeffs
+            fred.Y, project_function(cfg, np.sin)
         )
         and volt.converged
         and volt.iterations == 0
         and np.array_equal(
-            volt.Y.coeffs, project_function(cfg, np.cos).coeffs
+            volt.Y, project_function(cfg, np.cos)
         )
     )
 

@@ -8,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 
 from legpulse.basis import (
     BasisConfig,
-    CoeffVector,
     block_of,
     eval_basis,
     project_function,
@@ -74,14 +73,14 @@ def test_project_constant():
     proj = project_function(cfg, lambda t: 2.5)
     expected = np.zeros(12)
     expected[::4] = 2.5
-    np.testing.assert_allclose(proj.coeffs, expected, atol=1e-13)
+    np.testing.assert_allclose(proj, expected, atol=1e-13)
 
 
 def test_project_identity_function():
     # t = (1 + (2t - 1)) / 2, so the single-block coefficients are (1/2, 1/2)
     cfg = BasisConfig(q=1, r=4)
     proj = project_function(cfg, lambda t: t)
-    np.testing.assert_allclose(proj.coeffs, [0.5, 0.5, 0.0, 0.0], atol=1e-13)
+    np.testing.assert_allclose(proj, [0.5, 0.5, 0.0, 0.0], atol=1e-13)
 
 
 def test_project_exponential_single_block():
@@ -89,7 +88,7 @@ def test_project_exponential_single_block():
     cfg = BasisConfig(q=1, r=2)
     proj = project_function(cfg, np.exp)
     np.testing.assert_allclose(
-        proj.coeffs, [E - 1.0, 9.0 - 3.0 * E], atol=1e-13
+        proj, [E - 1.0, 9.0 - 3.0 * E], atol=1e-13
     )
 
 
@@ -98,7 +97,7 @@ def test_project_matches_published_volterra_forcing():
     proj = project_function(
         cfg, lambda t: 2 * t**3 + t**2 - 12 * t + 12 * np.sin(t)
     )
-    np.testing.assert_allclose(proj.coeffs, PUBLISHED_VOLTERRA_F, atol=1e-6)
+    np.testing.assert_allclose(proj, PUBLISHED_VOLTERRA_F, atol=1e-6)
 
 
 def test_project_function_reports_bad_integrand():
@@ -117,14 +116,14 @@ def test_kernel_projection_closed_form():
             [3.0 * (-E + 4.0 - 3.0 / E), 9.0 * (6.0 - E - 9.0 / E)],
         ]
     )
-    np.testing.assert_allclose(K.entries, expected, atol=1e-12)
+    np.testing.assert_allclose(K, expected, atol=1e-12)
 
 
 def test_kernel_projection_matches_published_entry():
     cfg = BasisConfig(q=4, r=3)
     G = project_kernel(cfg, lambda t, s: np.sin(t - s))
-    assert G.entries[0, 1] == pytest.approx(-0.1245, abs=5e-5)
-    assert G.entries[0, 0] == pytest.approx(0.0, abs=1e-12)
+    assert G[0, 1] == pytest.approx(-0.1245, abs=5e-5)
+    assert G[0, 0] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_kernel_projection_is_separable_product():
@@ -132,9 +131,9 @@ def test_kernel_projection_is_separable_product():
     cfg = BasisConfig(q=2, r=3)
     u, v = np.cos, np.exp
     K = project_kernel(cfg, lambda t, s: u(t) * v(s))
-    U = project_function(cfg, u).coeffs
-    V = project_function(cfg, v).coeffs
-    np.testing.assert_allclose(K.entries, np.outer(U, V), atol=1e-12)
+    U = project_function(cfg, u)
+    V = project_function(cfg, v)
+    np.testing.assert_allclose(K, np.outer(U, V), atol=1e-12)
 
 
 def test_projections_match_blockwise_reference():
@@ -148,14 +147,14 @@ def test_projections_match_blockwise_reference():
     scale = np.arange(r) + 0.5
     nodes = [(x + 2 * k + 1) / (2 * q) for k in range(q)]
     for g in (lambda t, s: np.exp(t - s), lambda t, s: np.sin(t - s)):
-        K = project_kernel(cfg, g).entries
+        K = project_kernel(cfg, g)
         for k, ts in enumerate(nodes):
             for kp, ss in enumerate(nodes):
                 block = np.outer(scale, scale) * (wleg @ g(ts[:, None], ss) @ wleg.T)
                 np.testing.assert_allclose(
                     K[k * r : (k + 1) * r, kp * r : (kp + 1) * r], block, rtol=0, atol=1e-14
                 )
-    F = project_function(cfg, lambda t: np.exp(t + 1.0)).coeffs
+    F = project_function(cfg, lambda t: np.exp(t + 1.0))
     for k, ts in enumerate(nodes):
         expected = scale * (wleg @ np.exp(ts + 1.0))
         np.testing.assert_allclose(F[k * r : (k + 1) * r], expected, rtol=0, atol=1e-14)
@@ -169,10 +168,10 @@ def test_kernel_projection_reports_bad_kernel():
 
 def test_reconstruct_affine_closed_form():
     cfg = BasisConfig(q=1, r=2)
-    Y = CoeffVector(cfg, np.array([E - 1.0, 9.0 - 3.0 * E]))
+    Y = np.array([E - 1.0, 9.0 - 3.0 * E])
     for t in np.linspace(0.0, 0.999, 100):
         expected = (4.0 * E - 10.0) + (18.0 - 6.0 * E) * t
-        assert reconstruct(Y, t) == pytest.approx(expected, abs=1e-12)
+        assert reconstruct(cfg, Y, t) == pytest.approx(expected, abs=1e-12)
 
 
 @settings(deadline=None, max_examples=25)
@@ -185,9 +184,9 @@ def test_projection_recovers_basis_expansions(q, r, seed):
     # project(reconstruct(Y)) == Y: the projection is the identity on the space
     cfg = BasisConfig(q=q, r=r)
     rng = np.random.default_rng(seed)
-    Y = CoeffVector(cfg, rng.uniform(-2.0, 2.0, cfg.dim))
-    proj = project_function(cfg, lambda t: reconstruct(Y, t))
-    np.testing.assert_allclose(proj.coeffs, Y.coeffs, atol=1e-10)
+    Y = rng.uniform(-2.0, 2.0, cfg.dim)
+    proj = project_function(cfg, lambda t: reconstruct(cfg, Y, t))
+    np.testing.assert_allclose(proj, Y, atol=1e-10)
 
 
 @settings(deadline=None, max_examples=25)
@@ -218,7 +217,18 @@ def blockwise_rule(q, points=50):
 
 def test_coeff_vector_validation():
     cfg = BasisConfig(q=2, r=2)
-    with pytest.raises(ValueError):
-        CoeffVector(cfg, np.zeros(3))
-    with pytest.raises(ValueError):
-        CoeffVector(cfg, np.array([1.0, np.nan, 0.0, 0.0]))
+    with pytest.raises(ValueError, match="length 4"):
+        reconstruct(cfg, np.zeros(3), 0.5)
+    with pytest.raises(ValueError, match="length 4"):
+        reconstruct(cfg, np.zeros((4, 1)), 0.5)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_projections_reject_overflow_of_finite_samples():
+    # every sample is finite, but the weighted sums exceed the float range
+    cfg = BasisConfig(q=1, r=2)
+    with pytest.raises(ValueError, match="coefficient vector contains non-finite"):
+        project_function(cfg, lambda t: np.full_like(t, 1.5e308))
+    # the order-1 rows sum (3/2)|p_1| against a kernel of sign p_1(t)
+    with pytest.raises(ValueError, match="operator matrix contains non-finite"):
+        project_kernel(cfg, lambda t, s: 1.5e308 * np.sign(t - 0.5) + 0.0 * s)

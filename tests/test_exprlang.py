@@ -264,8 +264,8 @@ def test_kernel_with_fewer_variables_projects_like_two_variable_form(kernel, exp
     nodes = np.linspace(0.0, 0.9, 5)
     assert evaluate(short, nodes[:, None], nodes).shape == (5, 5)
     np.testing.assert_array_equal(
-        project_kernel(cfg, lambda t, s: evaluate(short, t, s)).entries,
-        project_kernel(cfg, lambda t, s: evaluate(full, t, s)).entries,
+        project_kernel(cfg, lambda t, s: evaluate(short, t, s)),
+        project_kernel(cfg, lambda t, s: evaluate(full, t, s)),
     )
 
 
@@ -274,6 +274,6 @@ def test_constant_forcing_projects_like_one_variable_form():
     short, full = parse_expression("3"), parse_expression("3 + 0*t")
     assert evaluate(short, np.zeros((2, 4))).shape == (2, 4)
     np.testing.assert_array_equal(
-        project_function(cfg, lambda t: evaluate(short, t)).coeffs,
-        project_function(cfg, lambda t: evaluate(full, t)).coeffs,
+        project_function(cfg, lambda t: evaluate(short, t)),
+        project_function(cfg, lambda t: evaluate(full, t)),
     )

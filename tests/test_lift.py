@@ -18,7 +18,7 @@ def test_project_initial_fills_constant_slots():
     proj = project_initial(2.0, cfg)
     expected = np.zeros(12)
     expected[::3] = 2.0
-    np.testing.assert_allclose(proj.coeffs, expected, atol=0.0)
+    np.testing.assert_allclose(proj, expected, atol=0.0)
 
 
 def test_initial_conditions_validation():
@@ -30,7 +30,7 @@ def test_initial_conditions_validation():
 
 def test_lift_order_zero_is_identity():
     cfg = BasisConfig(q=2, r=3)
-    J = build_J(cfg).entries
+    J = build_J(cfg)
     Y = np.arange(6, dtype=float)
     lifted = lift(Y, 0, InitialConditions((), cfg), J)
     np.testing.assert_allclose(lifted, Y, atol=0.0)
@@ -38,7 +38,7 @@ def test_lift_order_zero_is_identity():
 
 def test_lift_requires_enough_initial_conditions():
     cfg = BasisConfig(q=1, r=3)
-    J = build_J(cfg).entries
+    J = build_J(cfg)
     Y = np.zeros(3)
     with pytest.raises(ValueError, match="2 initial conditions"):
         lift(Y, 2, InitialConditions((1.0,), cfg), J)
@@ -48,7 +48,7 @@ def test_lift_single_block_closed_form():
     # J (Y - Y0) with Y the projection of exp and Y0 = (1, 0):
     # [[0, 2], [-6, 6]] (e-2, 9-3e) = (18-6e, 66-24e)
     cfg = BasisConfig(q=1, r=2)
-    J = build_J(cfg).entries
+    J = build_J(cfg)
     Y = np.array([E - 1.0, 9.0 - 3.0 * E])
     lifted = lift(Y, 1, InitialConditions((1.0,), cfg), J)
     np.testing.assert_allclose(
@@ -66,7 +66,7 @@ def test_lift_single_block_closed_form():
 def test_iterated_lift_matches_closed_form(q, r, n, seed):
     # unrolled recursion: J^n Y - sum_{k=1..n} J^k Y0^(n-k)
     cfg = BasisConfig(q=q, r=r)
-    J = build_J(cfg).entries
+    J = build_J(cfg)
     rng = np.random.default_rng(seed)
     Y = rng.uniform(-1.0, 1.0, cfg.dim)
     ics = InitialConditions(tuple(rng.uniform(-1.0, 1.0, n)), cfg)
@@ -74,7 +74,7 @@ def test_iterated_lift_matches_closed_form(q, r, n, seed):
 
     expected = np.linalg.matrix_power(J, n) @ Y
     for k in range(1, n + 1):
-        y0 = project_initial(ics.values[n - k], cfg).coeffs
+        y0 = project_initial(ics.values[n - k], cfg)
         expected -= np.linalg.matrix_power(J, k) @ y0
     # J^4 entries reach ~1e4 at these shapes, so allow matching relative slack
     np.testing.assert_allclose(lifted, expected, rtol=1e-10, atol=1e-10)
@@ -82,7 +82,7 @@ def test_iterated_lift_matches_closed_form(q, r, n, seed):
 
 def test_lift_composes():
     cfg = BasisConfig(q=2, r=4)
-    J = build_J(cfg).entries
+    J = build_J(cfg)
     rng = np.random.default_rng(17)
     Y = rng.uniform(-1.0, 1.0, cfg.dim)
     a0, a1 = 0.7, -0.3
@@ -101,35 +101,35 @@ def test_polynomial_first_derivative_is_exact(r):
     # y = sum of t^j for j < r lies in the space; the lift of its projection
     # must equal the projection of y'
     cfg = BasisConfig(q=1, r=r)
-    J = build_J(cfg).entries
+    J = build_J(cfg)
     y = lambda t: sum(t**j for j in range(r))
     dy = lambda t: sum(j * t ** (j - 1) for j in range(1, r))
-    Y = project_function(cfg, y).coeffs
+    Y = project_function(cfg, y)
     lifted = lift(Y, 1, InitialConditions((1.0,), cfg), J)
     expected = project_function(cfg, dy)
-    np.testing.assert_allclose(lifted, expected.coeffs, atol=1e-9)
+    np.testing.assert_allclose(lifted, expected, atol=1e-9)
 
 
 @pytest.mark.parametrize("q", [1, 3])
 def test_polynomial_second_derivative_is_exact(q):
     # y = 1 + t + t^2 + t^3 with y'(0) = 1: lift twice against y''
     cfg = BasisConfig(q=q, r=4)
-    J = build_J(cfg).entries
-    Y = project_function(cfg, lambda t: 1.0 + t + t**2 + t**3).coeffs
+    J = build_J(cfg)
+    Y = project_function(cfg, lambda t: 1.0 + t + t**2 + t**3)
     lifted = lift(Y, 2, InitialConditions((1.0, 1.0), cfg), J)
     expected = project_function(cfg, lambda t: 2.0 + 6.0 * t)
-    np.testing.assert_allclose(lifted, expected.coeffs, atol=1e-9)
+    np.testing.assert_allclose(lifted, expected, atol=1e-9)
 
 
 def test_lift_negative_order_rejected():
     cfg = BasisConfig(q=1, r=2)
     with pytest.raises(ValueError):
-        lift(np.zeros(2), -1, InitialConditions((), cfg), build_J(cfg).entries)
+        lift(np.zeros(2), -1, InitialConditions((), cfg), build_J(cfg))
 
 
 def test_lift_of_column_batch_matches_columns():
     cfg = BasisConfig(q=3, r=3)
-    J = build_J(cfg).entries
+    J = build_J(cfg)
     ics = InitialConditions((0.4, -1.1), cfg)
     batch = np.random.default_rng(19).uniform(-1.0, 1.0, (cfg.dim, 5))
     lifted = lift(batch, 2, ics, J)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from legpulse.basis import BasisConfig, CoeffVector, eval_basis, project_function, reconstruct
+from legpulse.basis import BasisConfig, eval_basis, project_function, reconstruct
 from legpulse.opmatrices import (
     build_J,
     build_L,
@@ -21,7 +21,7 @@ def test_integration_matrix_single_block():
     # running integrals of 1 and 2t-1 projected back: rows (1/2, 1/2), (-1/6, 0)
     cfg = BasisConfig(q=1, r=2)
     expected = np.array([[0.5, 0.5], [-1.0 / 6.0, 0.0]])
-    np.testing.assert_allclose(build_P(cfg).entries, expected, atol=1e-14)
+    np.testing.assert_allclose(build_P(cfg), expected, atol=1e-14)
 
 
 def test_integration_matrix_two_blocks():
@@ -31,27 +31,27 @@ def test_integration_matrix_two_blocks():
     expected[0:2, 0:2] = E
     expected[2:4, 2:4] = E
     expected[0, 2] = 0.5  # completed block contributes its full integral
-    np.testing.assert_allclose(build_P(cfg).entries, expected, atol=1e-14)
+    np.testing.assert_allclose(build_P(cfg), expected, atol=1e-14)
 
 
 def test_gram_matrix_diagonal():
     cfg = BasisConfig(q=4, r=3)
-    diag = np.diag(build_L(cfg).entries)
+    diag = np.diag(build_L(cfg))
     expected = np.tile([0.25, 1.0 / 12.0, 0.05], 4)
     np.testing.assert_allclose(diag, expected, atol=1e-15)
-    assert np.count_nonzero(build_L(cfg).entries - np.diag(diag)) == 0
+    assert np.count_nonzero(build_L(cfg) - np.diag(diag)) == 0
 
 
 def test_lift_matrix_single_block():
     cfg = BasisConfig(q=1, r=2)
     expected = np.array([[0.0, 2.0], [-6.0, 6.0]])
-    np.testing.assert_allclose(build_J(cfg).entries, expected, atol=1e-12)
+    np.testing.assert_allclose(build_J(cfg), expected, atol=1e-12)
 
 
 def test_lift_matrix_inverts_transposed_integration():
     for q, r in [(1, 4), (3, 2), (4, 3), (5, 5)]:
         cfg = BasisConfig(q=q, r=r)
-        product = build_J(cfg).entries @ build_P(cfg).entries.T
+        product = build_J(cfg) @ build_P(cfg).T
         np.testing.assert_allclose(product, np.eye(cfg.dim), atol=1e-10)
 
 
@@ -59,10 +59,10 @@ def test_integration_rows_are_cumulative_integral_projections():
     # row i of P must equal the projection of t -> integral of b_i over [0, t]
     for q, r in [(1, 3), (2, 2), (3, 4)]:
         cfg = BasisConfig(q=q, r=r)
-        P = build_P(cfg).entries
+        P = build_P(cfg)
         for i in range(cfg.dim):
             proj = project_function(cfg, _cumulative_basis_integral(cfg, i))
-            np.testing.assert_allclose(proj.coeffs, P[i], atol=1e-12)
+            np.testing.assert_allclose(proj, P[i], atol=1e-12)
 
 
 def _cumulative_basis_integral(cfg, i):
@@ -84,7 +84,7 @@ def _cumulative_basis_integral(cfg, i):
 
 def test_triple_tensor_known_entries():
     cfg = BasisConfig(q=1, r=4)
-    t = build_triple_tensor(cfg).values
+    t = build_triple_tensor(cfg)
     assert t[1, 1, 0] == pytest.approx(1.0 / 3.0, abs=1e-14)
     assert t[1, 2, 1] == pytest.approx(2.0 / 5.0, abs=1e-14)
     assert t[1, 1, 2] == pytest.approx(2.0 / 3.0, abs=1e-14)
@@ -96,7 +96,7 @@ def test_triple_tensor_known_entries():
 
 def test_triple_tensor_against_quadrature_oracle():
     cfg = BasisConfig(q=1, r=5)
-    tensor = build_triple_tensor(cfg).values
+    tensor = build_triple_tensor(cfg)
     nodes, weights = np.polynomial.legendre.leggauss(50)
     table = np.array([[_legendre(m, x) for x in nodes] for m in range(5)])
     for i in range(5):
@@ -118,7 +118,7 @@ def _legendre(m, x):
 
 def test_triple_tensor_symmetry_and_parity():
     cfg = BasisConfig(q=2, r=6)
-    t = build_triple_tensor(cfg).values
+    t = build_triple_tensor(cfg)
     np.testing.assert_allclose(t, np.swapaxes(t, 0, 1), atol=1e-14)
     for i in range(6):
         for j in range(6):
@@ -144,7 +144,7 @@ def _diagonal_blocks(S, r):
 
 def test_coeff_matrix_single_block_closed_form():
     cfg = BasisConfig(q=1, r=2)
-    tensor = build_triple_tensor(cfg).values
+    tensor = build_triple_tensor(cfg)
     M = _block_diag(coeff_matrix(np.array([1.5, -2.0]), tensor))
     expected = np.array([[1.5, -2.0], [-2.0 / 3.0, 1.5]])
     np.testing.assert_allclose(M, expected, atol=1e-14)
@@ -152,7 +152,7 @@ def test_coeff_matrix_single_block_closed_form():
 
 def test_coeff_matrix_is_block_diagonal_and_linear():
     cfg = BasisConfig(q=3, r=3)
-    tensor = build_triple_tensor(cfg).values
+    tensor = build_triple_tensor(cfg)
     rng = np.random.default_rng(7)
     a = rng.standard_normal(cfg.dim)
     b = rng.standard_normal(cfg.dim)
@@ -169,7 +169,7 @@ def test_coeff_matrix_is_block_diagonal_and_linear():
 
 def test_hat_vector_identity_single_block():
     cfg = BasisConfig(q=1, r=2)
-    tensor = build_triple_tensor(cfg).values
+    tensor = build_triple_tensor(cfg)
     np.testing.assert_allclose(
         hat_vector(np.eye(2)[None], tensor), [4.0 / 3.0, 0.0], atol=1e-14
     )
@@ -180,7 +180,7 @@ def test_hat_vector_three_order_pattern():
     #             s12 + s21 + (2/5)(s23 + s32),
     #             s13 + s31 + (2/3) s22 + (2/7) s33)
     cfg = BasisConfig(q=4, r=3)
-    tensor = build_triple_tensor(cfg).values
+    tensor = build_triple_tensor(cfg)
     rng = np.random.default_rng(11)
     S = rng.standard_normal((12, 12))
     hat = hat_vector(_diagonal_blocks(S, 3), tensor)
@@ -198,35 +198,35 @@ def test_hat_vector_ignores_cross_block_entries():
     # the quadratic form of a full S projects like that of its diagonal
     # blocks alone, which are all hat_vector takes
     cfg = BasisConfig(q=3, r=2)
-    tensor = build_triple_tensor(cfg).values
+    tensor = build_triple_tensor(cfg)
     rng = np.random.default_rng(3)
     S = rng.standard_normal((6, 6))
     blocks = hat_vector(_diagonal_blocks(S, 2), tensor)
     proj = project_function(
         cfg, np.vectorize(lambda t: eval_basis(cfg, t) @ S @ eval_basis(cfg, t))
     )
-    np.testing.assert_allclose(blocks, proj.coeffs, atol=1e-12)
+    np.testing.assert_allclose(blocks, proj, atol=1e-12)
 
 
 def test_coeff_matrix_matches_projection_oracle():
     # row i of C~ holds the projection coefficients of b_i * u
     cfg = BasisConfig(q=2, r=3)
-    tensor = build_triple_tensor(cfg).values
+    tensor = build_triple_tensor(cfg)
     rng = np.random.default_rng(23)
     for _ in range(5):
-        C = CoeffVector(cfg, rng.uniform(-1.0, 1.0, cfg.dim))
-        M = _block_diag(coeff_matrix(C.coeffs, tensor))
+        C = rng.uniform(-1.0, 1.0, cfg.dim)
+        M = _block_diag(coeff_matrix(C, tensor))
         for i in range(cfg.dim):
             proj = project_function(
-                cfg, np.vectorize(lambda t: eval_basis(cfg, t)[i] * reconstruct(C, t))
+                cfg, np.vectorize(lambda t: eval_basis(cfg, t)[i] * reconstruct(cfg, C, t))
             )
-            np.testing.assert_allclose(M[i], proj.coeffs, atol=1e-12)
+            np.testing.assert_allclose(M[i], proj, atol=1e-12)
 
 
 def test_hat_vector_matches_projection_oracle():
     # hat(S) holds the projection coefficients of t -> B(t)^T S B(t)
     cfg = BasisConfig(q=2, r=3)
-    tensor = build_triple_tensor(cfg).values
+    tensor = build_triple_tensor(cfg)
     rng = np.random.default_rng(29)
     for _ in range(5):
         S = rng.uniform(-1.0, 1.0, (cfg.dim, cfg.dim))
@@ -234,13 +234,13 @@ def test_hat_vector_matches_projection_oracle():
         proj = project_function(
             cfg, np.vectorize(lambda t: eval_basis(cfg, t) @ S @ eval_basis(cfg, t))
         )
-        np.testing.assert_allclose(hat, proj.coeffs, atol=1e-12)
+        np.testing.assert_allclose(hat, proj, atol=1e-12)
 
 
 def test_config_mismatch_rejected():
     # raw arrays carry no config: a tensor of the wrong order r cannot be
     # matched against the coefficient or block shapes
-    tensor = build_triple_tensor(BasisConfig(q=1, r=3)).values
+    tensor = build_triple_tensor(BasisConfig(q=1, r=3))
     with pytest.raises(ValueError):
         coeff_matrix(np.zeros(4), tensor)
     with pytest.raises(ValueError):
@@ -261,4 +261,14 @@ def test_gram_matrix_matches_quadrature(q, r):
         ts = (nodes + 1.0) / 2.0 * (b - a) + a
         samples = np.array([eval_basis(cfg, t) for t in ts])
         gram += samples.T @ (weights[:, None] * samples) * (b - a) / 2.0
-    np.testing.assert_allclose(build_L(cfg).entries, gram, atol=1e-12)
+    np.testing.assert_allclose(build_L(cfg), gram, atol=1e-12)
+
+
+@pytest.mark.parametrize("build", [build_P, build_L, build_J, build_triple_tensor])
+def test_shape_only_operators_are_built_once_and_read_only(build):
+    # every caller shares the cached array, so none of them may write to it
+    first = build(BasisConfig(q=3, r=2))
+    assert build(BasisConfig(q=3, r=2)) is first
+    assert build(BasisConfig(q=3, r=3)) is not first
+    with pytest.raises(ValueError, match="read-only"):
+        first[(0,) * first.ndim] = 1.0

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from legpulse.basis import BasisConfig, CoeffVector, eval_basis, project_function, reconstruct
+from legpulse.basis import BasisConfig, project_function, reconstruct
 from legpulse.solver import (
     AssembledSystem,
     _jacobian,
@@ -63,7 +63,7 @@ def test_zero_scalar_fredholm_returns_forcing_unchanged():
     report = solve(system)
     assert report.converged
     assert report.iterations == 0
-    np.testing.assert_array_equal(report.Y.coeffs, system.forcing)
+    np.testing.assert_array_equal(report.Y, system.forcing)
     assert report.residual_norm == 0.0
 
 
@@ -75,7 +75,7 @@ def test_zero_scalar_volterra_returns_forcing_unchanged():
     report = solve(system)
     assert report.converged
     assert report.iterations == 0
-    np.testing.assert_array_equal(report.Y.coeffs, system.forcing)
+    np.testing.assert_array_equal(report.Y, system.forcing)
 
 
 def test_fredholm_residual_at_exact_solution_projection():
@@ -92,7 +92,7 @@ def test_fredholm_newton_root_is_reproducible():
     assert report.converged
     assert report.residual_norm <= 1e-12
     np.testing.assert_allclose(
-        report.Y.coeffs, [1.73018296084, 0.851008208466], atol=1e-6
+        report.Y, [1.73018296084, 0.851008208466], atol=1e-6
     )
 
 
@@ -163,21 +163,20 @@ def test_fredholm_residual_matches_direct_quadrature():
     nodes, weights = np.polynomial.legendre.leggauss(60)
     for _ in range(3):
         y = rng.uniform(-1.0, 1.0, cfg.dim)
-        u = CoeffVector(cfg, y)
 
         def usq_integral():
             total = 0.0
             for k in range(cfg.q):
                 a, b = k / cfg.q, (k + 1) / cfg.q
                 ts = (nodes + 1.0) / 2.0 * (b - a) + a
-                vals = np.array([reconstruct(u, t) ** 2 for t in ts])
+                vals = np.array([reconstruct(cfg, y, t) ** 2 for t in ts])
                 total += float(np.dot(weights, vals)) * (b - a) / 2.0
             return total
 
         integral = usq_integral()
         expected = (
             y
-            + lam * project_function(cfg, lambda t: integral).coeffs
+            + lam * project_function(cfg, lambda t: integral)
             - system.forcing
         )
         np.testing.assert_allclose(
@@ -195,7 +194,6 @@ def test_volterra_residual_matches_direct_quadrature_for_block_constants():
     rng = np.random.default_rng(43)
     y = np.zeros(cfg.dim)
     y[:: cfg.r] = rng.uniform(-1.0, 1.0, cfg.q)
-    u = CoeffVector(cfg, y)
 
     def running_integral(t):
         # u is constant on each block, so integrate u^2 blockwise
@@ -211,7 +209,7 @@ def test_volterra_residual_matches_direct_quadrature_for_block_constants():
 
     expected = (
         y
-        + beta * project_function(cfg, np.vectorize(running_integral)).coeffs
+        + beta * project_function(cfg, np.vectorize(running_integral))
         - system.forcing
     )
     np.testing.assert_allclose(residual(system, y), expected, atol=1e-10)
