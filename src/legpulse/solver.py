@@ -30,6 +30,9 @@ KINDS = ("fredholm", "volterra")
 
 # budget for halving a Newton step that fails to reduce the residual
 _MAX_HALVINGS = 20
+# Newton stops once its step is within this many ulps of y: the residual
+# has reached its rounding floor and cannot be driven lower
+_STEP_ULPS = 64
 
 
 @dataclass
@@ -179,14 +182,27 @@ def _jacobian(system: AssembledSystem, y: np.ndarray) -> np.ndarray:
 def _newton(
     system: AssembledSystem, start: np.ndarray, tol: float, max_iter: int
 ) -> SolveReport:
+    """Damped Newton from start.
+
+    Converged means the residual max-norm fell to tol, or the Newton step
+    fell to rounding level, max|step| <= _STEP_ULPS * eps * max|y|.  The
+    second test stops the iteration at the residual's rounding floor, which
+    can lie above a tight tol.  Each step is halved, at most _MAX_HALVINGS
+    times, until the residual decreases; the run stops unconverged when
+    that fails, when the Jacobian is singular or after max_iter steps.
+    """
     y = np.array(start, dtype=float)
     res = residual(system, y)
     norm = _inf_norm(res)
+    converged = norm <= tol
     iterations = 0
-    while norm > tol and iterations < max_iter:
+    while not converged and iterations < max_iter:
         try:
             step = np.linalg.solve(_jacobian(system, y), -res)
         except np.linalg.LinAlgError:
+            break
+        if _inf_norm(step) <= _STEP_ULPS * np.finfo(float).eps * _inf_norm(y):
+            converged = True
             break
         # damping: halve the step until the residual actually decreases
         scale = 1.0
@@ -203,11 +219,12 @@ def _newton(
         if not accepted:
             break
         iterations += 1
+        converged = norm <= tol
     return SolveReport(
         Y=y,
         iterations=iterations,
         residual_norm=norm,
-        converged=norm <= tol,
+        converged=converged,
     )
 
 
@@ -215,21 +232,15 @@ def solve(system: AssembledSystem, tol: float = 1e-12, max_iter: int = 100) -> S
     """Damped Newton on the residual, starting from Y = F.
 
     The forcing coefficients are the exact solution when the integral term
-    vanishes and a good predictor otherwise.  If that start stalls, a
-    second attempt from the zero vector is made and the better of the two
-    reports is returned.
+    vanishes and a good predictor otherwise.  The report is converged when
+    the residual max-norm is at most tol, or when the Newton step fell to
+    rounding level in Y, as _newton describes.
     """
     if tol <= 0.0:
         raise ValueError(f"tol must be positive, got {tol}")
     if max_iter < 1:
         raise ValueError(f"max_iter must be at least 1, got {max_iter}")
-    first = _newton(system, system.forcing, tol, max_iter)
-    if first.converged:
-        return first
-    second = _newton(system, np.zeros(system.config.dim), tol, max_iter)
-    if second.converged or second.residual_norm < first.residual_norm:
-        return second
-    return first
+    return _newton(system, system.forcing, tol, max_iter)
 
 
 def error_bound(mu: int, M: float) -> float:

@@ -395,3 +395,53 @@ def test_solution_in_basis_span_is_recovered(scalar):
     output = run(parse_problem(SPURIOUS_ROOT_TEXT.format(scalar=scalar)))
     assert output.report.converged
     assert output.max_abs_error <= 1e-10
+
+
+# problem 410 of the benchmark's volterra-deep stream at seed 3: Newton from
+# Y = F stalls at residual 1.19e-12, just above the default tol, where the
+# residual's rounding floor lies
+ROUNDING_FLOOR_VOLTERRA_TEXT = """\
+kind = volterra
+beta = 1.830216910980261
+kernel = exp(t - s)
+f = exp(1.2457104136399884*t) + 2.372212801588509*(exp(2.4914208272799767*t) - exp(t))
+m = 1
+n = 2
+ics = 1, 1.2457104136399884
+r = 12
+q = 4
+exact = exp(1.2457104136399884*t)
+M = 48.530000813048126
+"""
+
+# a problem of the benchmark's fredholm-wide shape (r = 3, q = 12)
+FREDHOLM_WIDE_TEXT = """\
+kind = fredholm
+lambda = 1.434352542334553
+kernel = exp(t - s)
+f = exp(1.1934295914085835*t) + 3.705686133122966*exp(t)
+m = 0
+n = 1
+ics = 1
+r = 3
+q = 12
+exact = exp(1.1934295914085835*t)
+"""
+
+
+def test_newton_stalled_at_rounding_floor_keeps_the_intended_root():
+    output = run(parse_problem(ROUNDING_FLOOR_VOLTERRA_TEXT))
+    assert output.report.converged
+    assert output.max_abs_error <= 1e-10
+
+
+@pytest.mark.parametrize(
+    "text, limit",
+    [(ROUNDING_FLOOR_VOLTERRA_TEXT, 1e-10), (FREDHOLM_WIDE_TEXT, 1e-4)],
+    ids=["volterra-deep", "fredholm-wide"],
+)
+def test_tolerance_below_rounding_floor_still_converges(text, limit):
+    # no residual reaches 1e-15; Newton stops once its step is at rounding level
+    output = run(parse_problem(text), tol=1e-15)
+    assert output.report.converged
+    assert output.max_abs_error <= limit
