@@ -44,10 +44,13 @@ def project_initial(a: float, config: BasisConfig) -> np.ndarray:
 def lift(y: np.ndarray, n: int, ics: InitialConditions, J: np.ndarray) -> np.ndarray:
     """Coefficients of the n-th derivative of the function with coefficients y.
 
-    y is one coefficient vector (dim,) or a batch of them as columns
-    (dim, k); the result has the same shape.  Needs the first n initial
-    conditions; n = 0 returns y unchanged.
+    y is one (dim,) coefficient vector, and so is the result.  Needs the
+    first n initial conditions; n = 0 returns y unchanged.
     """
+    if y.shape != (ics.config.dim,):
+        raise ValueError(
+            f"coefficient vector must have length {ics.config.dim}, got shape {y.shape}"
+        )
     if n < 0:
         raise ValueError(f"derivative order must be >= 0, got {n}")
     if len(ics) < n:
@@ -60,3 +63,12 @@ def lift(y: np.ndarray, n: int, ics: InitialConditions, J: np.ndarray) -> np.nda
         shifted[:: ics.config.r] -= a
         y = J @ shifted
     return y
+
+
+def lift_with_derivative(
+    y: np.ndarray, n: int, ics: InitialConditions, J: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The n-th lift of y and its derivative in y, J^n, as a (dim,) and a
+    (dim, dim) array.  The lift is affine in y, so J^n is its derivative at
+    every y."""
+    return lift(y, n, ics, J), np.linalg.matrix_power(J, n)

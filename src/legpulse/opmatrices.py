@@ -5,7 +5,9 @@ running integral; L is the diagonal Gram matrix; J = (P^T)^-1 drives the
 derivative lift. Multiplication of two basis expansions is captured by a
 block-local tensor of normalized triple products, from which the coefficient
 matrix of a vector and the row vector of a quadratic form are assembled for
-arbitrary (r, q). Both work block by block and accept leading batch axes.
+arbitrary (r, q). Both work block by block and accept leading batch axes;
+product_tangent gives the derivatives of the block product of two coefficient
+matrices, from which Newton's Jacobian is built.
 
 The build_* functions depend on the config alone, so each result is built
 once per config, cached for the life of the process, and returned read-only.
@@ -129,6 +131,21 @@ def coeff_matrix(c: np.ndarray, tensor: np.ndarray) -> np.ndarray:
     by_j = tensor.transpose(1, 0, 2).reshape(r, r * r)
     blocks = c.reshape(c.shape[:-1] + (-1, r)) @ by_j
     return blocks.reshape(blocks.shape[:-1] + (r, r))
+
+
+def product_tangent(u: np.ndarray, v: np.ndarray, tensor: np.ndarray) -> np.ndarray:
+    """Diagonal blocks of the derivatives of the product C~_u C~_v in u and in v.
+
+    u and v are (dim,) coefficient vectors and tensor the (r, r, r) triple
+    tensor; the result X has shape (q, 2r, r, r).  X[k, j] is the derivative
+    of block k of the product in coefficient (k, j) of u, T_j C~_v,k, and
+    X[k, r + j] the one in coefficient (k, j) of v, C~_u,k T_j.  Here T_j,
+    the coefficient matrix of the j-th basis function of a block, is tensor[j],
+    since the tensor is symmetric in its first two indices.  No block depends
+    on the coefficients of another.
+    """
+    cu, cv = coeff_matrix(np.stack([u, v]), tensor)
+    return np.concatenate([tensor @ cv[:, None], cu[:, None] @ tensor], axis=1)
 
 
 def hat_vector(S: np.ndarray, tensor: np.ndarray) -> np.ndarray:

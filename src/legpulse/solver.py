@@ -16,7 +16,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .basis import BasisConfig, project_function, project_kernel
-from .lift import InitialConditions, lift
+from .lift import InitialConditions, lift, lift_with_derivative
 from .opmatrices import (
     build_J,
     build_L,
@@ -24,6 +24,7 @@ from .opmatrices import (
     build_triple_tensor,
     coeff_matrix,
     hat_vector,
+    product_tangent,
 )
 
 KINDS = ("fredholm", "volterra")
@@ -135,33 +136,43 @@ def assemble(
 def residual(system: AssembledSystem, y: np.ndarray) -> np.ndarray:
     """R(Y) = Y + scalar * I(u, v) - F, with u and v the m-th and n-th lifts of Y.
 
-    y is one coefficient vector (dim,) or a batch of them as columns
-    (dim, k); R has the same shape.  The integral term is
+    y is one (dim,) coefficient vector, and so is R.  The integral term is
     K C~_u L v (Fredholm) or hat(K C~_u C~_v P) (Volterra), evaluated on the
     diagonal blocks of C~_u and C~_v, never on their dense block-diagonal
     matrices.
     """
     y = np.asarray(y, dtype=float)
     q, r = system.config.q, system.config.r
-    u = lift(y, system.m, system.ics, system.J).T
-    v = lift(y, system.n, system.ics, system.J).T
+    if y.shape != (system.config.dim,):
+        raise ValueError(
+            f"coefficient vector must have length {system.config.dim}, got shape {y.shape}"
+        )
+    u = lift(y, system.m, system.ics, system.J)
+    v = lift(y, system.n, system.ics, system.J)
     if system.kind == "fredholm":
         # right to left: L v, then the block-local C~_u, then K
-        lv = (np.diagonal(system.L) * v).reshape(v.shape[:-1] + (q, r, 1))
-        cu_lv = coeff_matrix(u, system.tensor) @ lv
-        integral = cu_lv.reshape(v.shape) @ system.kernel.T
+        lv = (np.diagonal(system.L) * v).reshape(q, r, 1)
+        integral = (coeff_matrix(u, system.tensor) @ lv).ravel() @ system.kernel.T
     else:
         # hat reads only the diagonal blocks of S = K D P, where D = C~_u C~_v
         # is block-diagonal and P has E on its diagonal blocks and e0 e0^T / q
         # above them: S_kk = K_kk D_k E + (1/q) (sum_{l<k} K_kl D_l e0) e0^T.
         # hat(w e0^T) = w, since multiplying by the constant mode is the identity
+        diagonal, below = _volterra_blocks(system)
         d = coeff_matrix(u, system.tensor) @ coeff_matrix(v, system.tensor)
-        below = system.kernel * np.tri(q, k=-1).repeat(r, 0).repeat(r, 1)
-        carried = d[..., 0].reshape(v.shape) @ below.T
-        diagonal = system.kernel.reshape(q, r, q, r)[np.arange(q), :, np.arange(q)]
+        carried = d[..., 0].ravel() @ below.T
         S = diagonal @ d @ system.P[:r, :r]
         integral = hat_vector(S, system.tensor) + carried / q
-    return (y.T + system.scalar * integral - system.forcing).T
+    return y + system.scalar * integral - system.forcing
+
+
+def _volterra_blocks(system: AssembledSystem) -> tuple[np.ndarray, np.ndarray]:
+    """The (q, r, r) diagonal blocks of the kernel matrix, and the (dim, dim)
+    kernel matrix with every block on and above the diagonal zeroed."""
+    q, r = system.config.q, system.config.r
+    diagonal = system.kernel.reshape(q, r, q, r)[np.arange(q), :, np.arange(q)]
+    below = system.kernel * np.tri(q, k=-1).repeat(r, 0).repeat(r, 1)
+    return diagonal, below
 
 
 def _inf_norm(vec: np.ndarray) -> float:
@@ -169,14 +180,31 @@ def _inf_norm(vec: np.ndarray) -> float:
 
 
 def _jacobian(system: AssembledSystem, y: np.ndarray) -> np.ndarray:
-    """Exact Jacobian of the residual at y from one batched residual call.
+    """Exact Jacobian of the residual at y, the tangent of its bilinear core.
 
-    R is quadratic in Y (the lift is affine, the product bilinear), so
-    (R(y + e_i) - R(y - e_i)) / 2 is exactly the i-th column.
+    R = Y + c I(u, v) - F, with u = A_m Y + a and v = A_n Y + b the affine
+    lifts (A_k = J^k), so dR = I + c (d_u I(., v) A_m + d_v I(u, .) A_n).
+    Both partials come from X = product_tangent(u, v), the derivatives of
+    the block product D = C~_u C~_v.  The Fredholm term K C~_u L v is
+    K D e0 / q, since C~_v e0 = q L v, so its partials are
+    K blockdiag(X e0) / q.  The Volterra term's are blockdiag(hat(K_kk X E))
+    plus the carry below blockdiag(X e0) / q, as in residual.
     """
-    dim = y.size
-    both = residual(system, y[:, None] + np.hstack([np.eye(dim), -np.eye(dim)]))
-    return (both[:, :dim] - both[:, dim:]) / 2.0
+    q, r, dim = system.config.q, system.config.r, system.config.dim
+    u, A_m = lift_with_derivative(y, system.m, system.ics, system.J)
+    v, A_n = lift_with_derivative(y, system.n, system.ics, system.J)
+    X = product_tangent(u, v, system.tensor)
+    # block k of u and v depends on y through these 2r rows of A_m and A_n
+    A = np.concatenate([A_m.reshape(q, r, dim), A_n.reshape(q, r, dim)], axis=1)
+    carried = (X[..., 0].swapaxes(1, 2) @ A).reshape(dim, dim) / q
+    if system.kind == "fredholm":
+        tangent = system.kernel @ carried
+    else:
+        diagonal, below = _volterra_blocks(system)
+        S = diagonal[:, None] @ X @ system.P[:r, :r]
+        hat = S.reshape(q, 2 * r, r * r) @ system.tensor.reshape(r * r, r)
+        tangent = (hat.swapaxes(1, 2) @ A).reshape(dim, dim) + below @ carried
+    return np.eye(dim) + system.scalar * tangent
 
 
 def _newton(

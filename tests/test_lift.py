@@ -125,13 +125,3 @@ def test_lift_negative_order_rejected():
     cfg = BasisConfig(q=1, r=2)
     with pytest.raises(ValueError):
         lift(np.zeros(2), -1, InitialConditions((), cfg), build_J(cfg))
-
-
-def test_lift_of_column_batch_matches_columns():
-    cfg = BasisConfig(q=3, r=3)
-    J = build_J(cfg)
-    ics = InitialConditions((0.4, -1.1), cfg)
-    batch = np.random.default_rng(19).uniform(-1.0, 1.0, (cfg.dim, 5))
-    lifted = lift(batch, 2, ics, J)
-    columns = np.column_stack([lift(col, 2, ics, J) for col in batch.T])
-    np.testing.assert_allclose(lifted, columns, rtol=1e-14, atol=1e-14)

@@ -324,11 +324,18 @@ def test_residual_matches_dense_oracle(kind, r, q):
 
 @pytest.mark.parametrize("kind", ["fredholm", "volterra"])
 @pytest.mark.parametrize("r,q", SHAPES)
-def test_batch_residual_matches_columns(kind, r, q):
-    system = _random_system(kind, 1, 2, r, q, 5)
-    batch = np.random.default_rng(6).uniform(-1.0, 1.0, (system.config.dim, 4))
-    columns = np.column_stack([residual(system, col) for col in batch.T])
-    np.testing.assert_allclose(residual(system, batch), columns, rtol=1e-14, atol=1e-14)
+def test_jacobian_matches_polarization_columns(kind, r, q):
+    # R is quadratic, so column i of its Jacobian is exactly
+    # (R(y + e_i) - R(y - e_i)) / 2, one residual pair per column
+    rng = np.random.default_rng(6)
+    for m, n in ORDERS:
+        system = _random_system(kind, m, n, r, q, m * 3 + n + 5)
+        y = rng.uniform(-1.0, 1.0, system.config.dim)
+        columns = np.column_stack(
+            [(residual(system, y + e) - residual(system, y - e)) / 2.0 for e in np.eye(y.size)]
+        )
+        scale = max(1.0, float(np.max(np.abs(columns))))
+        np.testing.assert_allclose(_jacobian(system, y), columns, rtol=1e-12, atol=1e-12 * scale)
 
 
 @pytest.mark.parametrize("kind", ["fredholm", "volterra"])
