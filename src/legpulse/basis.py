@@ -83,7 +83,9 @@ def eval_basis(config: BasisConfig, t: ArrayLike) -> np.ndarray:
 
 
 def _require_finite(projected: np.ndarray, what: str) -> np.ndarray:
-    # finite samples can still overflow in the weighted sums
+    # finite samples can still overflow in the weighted sums, which are
+    # computed with numpy's overflow warnings off so that this error is the
+    # only report
     if not np.all(np.isfinite(projected)):
         raise ValueError(f"{what} contains non-finite entries")
     return projected
@@ -106,7 +108,9 @@ def project_function(
     if not np.all(np.isfinite(vals)):
         i = tuple(np.argwhere(~np.isfinite(vals))[0])
         raise ValueError(f"integrand returned {float(vals[i])!r} at node t={float(ts[i])!r}")
-    return _require_finite((scale * ((w * vals) @ leg.T)).ravel(), "coefficient vector")
+    with np.errstate(over="ignore", invalid="ignore"):
+        projected = (scale * ((w * vals) @ leg.T)).ravel()
+    return _require_finite(projected, "coefficient vector")
 
 
 def project_kernel(
@@ -132,8 +136,10 @@ def project_kernel(
         )
     wleg = scale[:, None] * leg * w
     # contract the t nodes of every block, then the s nodes
-    half = (wleg @ gv.reshape(ts.shape + (ts.size,))).reshape((config.dim,) + ts.shape)
-    return _require_finite((half @ wleg.T).reshape(config.dim, config.dim), "operator matrix")
+    with np.errstate(over="ignore", invalid="ignore"):
+        half = (wleg @ gv.reshape(ts.shape + (ts.size,))).reshape((config.dim,) + ts.shape)
+        projected = (half @ wleg.T).reshape(config.dim, config.dim)
+    return _require_finite(projected, "operator matrix")
 
 
 def reconstruct(config: BasisConfig, y: np.ndarray, t: ArrayLike):

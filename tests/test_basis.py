@@ -223,7 +223,8 @@ def test_coeff_vector_validation():
         reconstruct(cfg, np.zeros((4, 1)), 0.5)
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+# the overflow is reported by the ValueError alone, with no numpy warning
+@pytest.mark.filterwarnings("error")
 def test_projections_reject_overflow_of_finite_samples():
     # every sample is finite, but the weighted sums exceed the float range
     cfg = BasisConfig(q=1, r=2)

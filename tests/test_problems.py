@@ -350,6 +350,8 @@ def test_cli_names_runtime_domain_error(tmp_path, capsys, kernel, f, message):
     assert f"could not assemble {problem}: {message}" in captured.err
 
 
+# a warning from numpy would otherwise be printed to stderr above the error
+@pytest.mark.filterwarnings("error")
 def test_cli_rejects_forcing_whose_projection_overflows(tmp_path, capsys):
     # every sample of f is finite; only the projection's sum overflows
     problem = tmp_path / "overflow.prob"
@@ -359,7 +361,9 @@ def test_cli_rejects_forcing_whose_projection_overflows(tmp_path, capsys):
     code = main(["solve", str(problem)])
     captured = capsys.readouterr()
     assert code == 1
-    assert f"could not assemble {problem}" in captured.err
+    assert captured.err == (
+        f"could not assemble {problem}: coefficient vector contains non-finite entries\n"
+    )
 
 
 SPURIOUS_ROOT_TEXT = """\
