@@ -31,8 +31,8 @@ KINDS = ("fredholm", "volterra")
 
 # budget for halving a Newton step that fails to reduce the residual
 _MAX_HALVINGS = 20
-# Newton stops once its step is within this many ulps of y: the residual
-# has reached its rounding floor and cannot be driven lower
+# Newton stops, converged, once max|step| <= _STEP_ULPS * eps * max|y|: the
+# residual has reached its rounding floor and cannot be driven lower
 _STEP_ULPS = 64
 
 
@@ -136,17 +136,13 @@ def assemble(
 def residual(system: AssembledSystem, y: np.ndarray) -> np.ndarray:
     """R(Y) = Y + scalar * I(u, v) - F, with u and v the m-th and n-th lifts of Y.
 
-    y is one (dim,) coefficient vector, and so is R.  The integral term is
-    K C~_u L v (Fredholm) or hat(K C~_u C~_v P) (Volterra), evaluated on the
-    diagonal blocks of C~_u and C~_v, never on their dense block-diagonal
-    matrices.
+    y is one (dim,) coefficient vector, and so is R; lift rejects any other
+    shape.  The integral term is K C~_u L v (Fredholm) or hat(K C~_u C~_v P)
+    (Volterra), evaluated on the diagonal blocks of C~_u and C~_v, never on
+    their dense block-diagonal matrices.
     """
     y = np.asarray(y, dtype=float)
     q, r = system.config.q, system.config.r
-    if y.shape != (system.config.dim,):
-        raise ValueError(
-            f"coefficient vector must have length {system.config.dim}, got shape {y.shape}"
-        )
     u = lift(y, system.m, system.ics, system.J)
     v = lift(y, system.n, system.ics, system.J)
     if system.kind == "fredholm":
@@ -176,7 +172,7 @@ def _volterra_blocks(system: AssembledSystem) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _inf_norm(vec: np.ndarray) -> float:
-    return float(np.max(np.abs(vec)))
+    return float(np.abs(vec).max())
 
 
 def _jacobian(system: AssembledSystem, y: np.ndarray) -> np.ndarray:
@@ -223,13 +219,14 @@ def _newton(
     res = residual(system, y)
     norm = _inf_norm(res)
     converged = norm <= tol
+    step_floor = _STEP_ULPS * np.finfo(float).eps
     iterations = 0
     while not converged and iterations < max_iter:
         try:
             step = np.linalg.solve(_jacobian(system, y), -res)
         except np.linalg.LinAlgError:
             break
-        if _inf_norm(step) <= _STEP_ULPS * np.finfo(float).eps * _inf_norm(y):
+        if _inf_norm(step) <= step_floor * _inf_norm(y):
             converged = True
             break
         # damping: halve the step until the residual actually decreases

@@ -125,3 +125,11 @@ def test_lift_negative_order_rejected():
     cfg = BasisConfig(q=1, r=2)
     with pytest.raises(ValueError):
         lift(np.zeros(2), -1, InitialConditions((), cfg), build_J(cfg))
+
+
+def test_lift_takes_one_coefficient_vector():
+    cfg = BasisConfig(q=3, r=3)
+    ics = InitialConditions((0.4, -1.1), cfg)
+    for bad in (np.zeros((cfg.dim, 2)), np.zeros(cfg.dim - 1)):
+        with pytest.raises(ValueError, match="coefficient vector must have length 9"):
+            lift(bad, 2, ics, build_J(cfg))
