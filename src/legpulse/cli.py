@@ -18,6 +18,7 @@ Two subcommands:
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import replace
 from typing import Optional, Sequence
@@ -90,8 +91,8 @@ def _cmd_solve(args: argparse.Namespace) -> int:
             overrides["grid"] = tuple(i / args.grid_size for i in range(args.grid_size))
         if overrides:
             spec = replace(spec, **overrides)
-        if args.tol <= 0.0:
-            raise ValueError(f"--tol must be positive, got {args.tol}")
+        if not (math.isfinite(args.tol) and args.tol > 0.0):
+            raise ValueError(f"--tol must be finite and positive, got {args.tol}")
         if args.max_iter < 1:
             raise ValueError(f"--max-iter must be at least 1, got {args.max_iter}")
     except ValueError as exc:

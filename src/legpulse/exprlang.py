@@ -189,7 +189,12 @@ class _Parser:
         token = self.current
         if token.kind == "NUMBER":
             self.advance()
-            return Num(float(token.text))
+            value = float(token.text)
+            if not np.isfinite(value):
+                raise ExprSyntaxError(
+                    f"numeric literal {token.text!r} is not finite", token.position
+                )
+            return Num(value)
         if token.kind == "IDENT":
             self.advance()
             if self.at_op("("):

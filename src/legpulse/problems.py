@@ -19,6 +19,7 @@ A problem file is UTF-8 text with one ``key = value`` pair per line and
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Dict, Optional, Sequence, Tuple
 
@@ -154,9 +155,12 @@ def _int_value(entries, key: str, origin: str, minimum: int) -> int:
 
 def _float_value(value: str, key: str, origin: str, lineno: int) -> float:
     try:
-        return float(value)
+        parsed = float(value)
     except ValueError:
         raise ProblemFileError(f"{key} must be a real number, got {value!r}", origin, lineno) from None
+    if not math.isfinite(parsed):
+        raise ProblemFileError(f"{key} must be finite, got {value!r}", origin, lineno)
+    return parsed
 
 
 def _float_list(value: str, key: str, origin: str, lineno: int) -> Tuple[float, ...]:

@@ -5,12 +5,19 @@ integral of k(t,s) * y^(m)(s) * y^(n)(s), turns into a nonlinear algebraic
 system for the hybrid coefficient vector Y once every ingredient is
 projected onto the basis.  This module assembles that system, evaluates
 its residual, and solves it.
+
+Both kinds share one integral core.  With D = C~_u C~_v the block-diagonal
+product of the coefficient matrices of the lifts u and v, the integral is
+the carried term C (D e0) / q, plus, for Volterra only, the partial term
+hat(K_kk D_k E) of each block with itself.  C is the whole kernel matrix K
+for Fredholm, and K with every block on or above the diagonal zeroed for
+Volterra.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
@@ -19,7 +26,6 @@ from .basis import BasisConfig, project_function, project_kernel
 from .lift import InitialConditions, lift, lift_with_derivative
 from .opmatrices import (
     build_J,
-    build_L,
     build_P,
     build_triple_tensor,
     coeff_matrix,
@@ -42,10 +48,16 @@ class AssembledSystem:
 
     kind is "fredholm" (integral over the whole interval) or "volterra"
     (integral from 0 to t); scalar multiplies the integral term; m and n
-    are the derivative orders inside the integrand.  kernel, P, L and J are
+    are the derivative orders inside the integrand.  kernel and J are
     (dim, dim) arrays, forcing is (dim,) and tensor is the (r, r, r) triple
-    tensor, all for config; assemble shares P, L, J and tensor read-only
-    with every other system of the same config.
+    tensor, all for config; assemble shares J and tensor read-only with
+    every other system of the same config.
+
+    The split of the kernel that the integral core reads is built here,
+    once, from kernel and kind: C, the (dim, dim) carried kernel (kernel
+    itself for Fredholm); diagonal, the (q, r, r) diagonal blocks of the
+    kernel for Volterra and None for Fredholm; and E, the (r, r) diagonal
+    block of the integration matrix.
     """
 
     config: BasisConfig
@@ -57,9 +69,10 @@ class AssembledSystem:
     n: int
     ics: InitialConditions
     tensor: np.ndarray
-    P: np.ndarray
-    L: np.ndarray
     J: np.ndarray
+    C: np.ndarray = field(init=False, repr=False)
+    diagonal: np.ndarray | None = field(init=False, repr=False)
+    E: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.kind not in KINDS:
@@ -76,19 +89,23 @@ class AssembledSystem:
                 f"derivative orders m={self.m}, n={self.n} require "
                 f"{needed} initial condition(s), got {len(self.ics)}"
             )
-        dim, r = self.config.dim, self.config.r
+        dim, r, q = self.config.dim, self.config.r, self.config.q
         built_for = {
             "kernel": (self.kernel.shape, (dim, dim)),
             "forcing": (self.forcing.shape, (dim,)),
             "ics": (self.ics.config, self.config),
             "tensor": (self.tensor.shape, (r, r, r)),
-            "P": (self.P.shape, (dim, dim)),
-            "L": (self.L.shape, (dim, dim)),
             "J": (self.J.shape, (dim, dim)),
         }
         for label, (got, want) in built_for.items():
             if got != want:
                 raise ValueError(f"{label} was built for {got}, but {self.config} needs {want}")
+        self.E = build_P(self.config)[:r, :r]
+        if self.kind == "fredholm":
+            self.C, self.diagonal = self.kernel, None
+        else:
+            self.C = self.kernel * np.tri(q, k=-1).repeat(r, 0).repeat(r, 1)
+            self.diagonal = self.kernel.reshape(q, r, q, r)[np.arange(q), :, np.arange(q)]
 
 
 @dataclass
@@ -127,8 +144,6 @@ def assemble(
         n=int(n),
         ics=InitialConditions(tuple(ics), config),
         tensor=build_triple_tensor(config),
-        P=build_P(config),
-        L=build_L(config),
         J=build_J(config),
     )
 
@@ -137,38 +152,22 @@ def residual(system: AssembledSystem, y: np.ndarray) -> np.ndarray:
     """R(Y) = Y + scalar * I(u, v) - F, with u and v the m-th and n-th lifts of Y.
 
     y is one (dim,) coefficient vector, and so is R; lift rejects any other
-    shape.  The integral term is K C~_u L v (Fredholm) or hat(K C~_u C~_v P)
-    (Volterra), evaluated on the diagonal blocks of C~_u and C~_v, never on
-    their dense block-diagonal matrices.
+    shape.  The integral term is C (D e0) / q, plus hat(K_kk D_k E) for
+    Volterra, where D = C~_u C~_v is evaluated on its diagonal blocks, never
+    as a dense block-diagonal matrix.  The carried term is the paper's
+    K C~_u L v for Fredholm, since C~_v e0 = q L v, and for Volterra it is
+    the part of hat(K D P) that P's 1/q entries above its diagonal blocks
+    carry from every earlier block: hat(w e0^T) = w, since multiplying by
+    the constant mode is the identity.
     """
     y = np.asarray(y, dtype=float)
-    q, r = system.config.q, system.config.r
     u = lift(y, system.m, system.ics, system.J)
     v = lift(y, system.n, system.ics, system.J)
-    if system.kind == "fredholm":
-        # right to left: L v, then the block-local C~_u, then K
-        lv = (np.diagonal(system.L) * v).reshape(q, r, 1)
-        integral = (coeff_matrix(u, system.tensor) @ lv).ravel() @ system.kernel.T
-    else:
-        # hat reads only the diagonal blocks of S = K D P, where D = C~_u C~_v
-        # is block-diagonal and P has E on its diagonal blocks and e0 e0^T / q
-        # above them: S_kk = K_kk D_k E + (1/q) (sum_{l<k} K_kl D_l e0) e0^T.
-        # hat(w e0^T) = w, since multiplying by the constant mode is the identity
-        diagonal, below = _volterra_blocks(system)
-        d = coeff_matrix(u, system.tensor) @ coeff_matrix(v, system.tensor)
-        carried = d[..., 0].ravel() @ below.T
-        S = diagonal @ d @ system.P[:r, :r]
-        integral = hat_vector(S, system.tensor) + carried / q
+    d = coeff_matrix(u, system.tensor) @ coeff_matrix(v, system.tensor)
+    integral = system.C @ d[..., 0].ravel() / system.config.q
+    if system.diagonal is not None:
+        integral += hat_vector(system.diagonal @ d @ system.E, system.tensor)
     return y + system.scalar * integral - system.forcing
-
-
-def _volterra_blocks(system: AssembledSystem) -> tuple[np.ndarray, np.ndarray]:
-    """The (q, r, r) diagonal blocks of the kernel matrix, and the (dim, dim)
-    kernel matrix with every block on and above the diagonal zeroed."""
-    q, r = system.config.q, system.config.r
-    diagonal = system.kernel.reshape(q, r, q, r)[np.arange(q), :, np.arange(q)]
-    below = system.kernel * np.tri(q, k=-1).repeat(r, 0).repeat(r, 1)
-    return diagonal, below
 
 
 def _inf_norm(vec: np.ndarray) -> float:
@@ -181,10 +180,9 @@ def _jacobian(system: AssembledSystem, y: np.ndarray) -> np.ndarray:
     R = Y + c I(u, v) - F, with u = A_m Y + a and v = A_n Y + b the affine
     lifts (A_k = J^k), so dR = I + c (d_u I(., v) A_m + d_v I(u, .) A_n).
     Both partials come from X = product_tangent(u, v), the derivatives of
-    the block product D = C~_u C~_v.  The Fredholm term K C~_u L v is
-    K D e0 / q, since C~_v e0 = q L v, so its partials are
-    K blockdiag(X e0) / q.  The Volterra term's are blockdiag(hat(K_kk X E))
-    plus the carry below blockdiag(X e0) / q, as in residual.
+    the block product D = C~_u C~_v: the carried term's are
+    C blockdiag(X e0) / q, and the Volterra partial term's are
+    blockdiag(hat(K_kk X E)), as in residual.
     """
     q, r, dim = system.config.q, system.config.r, system.config.dim
     u, A_m = lift_with_derivative(y, system.m, system.ics, system.J)
@@ -192,14 +190,11 @@ def _jacobian(system: AssembledSystem, y: np.ndarray) -> np.ndarray:
     X = product_tangent(u, v, system.tensor)
     # block k of u and v depends on y through these 2r rows of A_m and A_n
     A = np.concatenate([A_m.reshape(q, r, dim), A_n.reshape(q, r, dim)], axis=1)
-    carried = (X[..., 0].swapaxes(1, 2) @ A).reshape(dim, dim) / q
-    if system.kind == "fredholm":
-        tangent = system.kernel @ carried
-    else:
-        diagonal, below = _volterra_blocks(system)
-        S = diagonal[:, None] @ X @ system.P[:r, :r]
+    tangent = system.C @ ((X[..., 0].swapaxes(1, 2) @ A).reshape(dim, dim) / q)
+    if system.diagonal is not None:
+        S = system.diagonal[:, None] @ X @ system.E
         hat = S.reshape(q, 2 * r, r * r) @ system.tensor.reshape(r * r, r)
-        tangent = (hat.swapaxes(1, 2) @ A).reshape(dim, dim) + below @ carried
+        tangent += (hat.swapaxes(1, 2) @ A).reshape(dim, dim)
     return np.eye(dim) + system.scalar * tangent
 
 
@@ -261,8 +256,8 @@ def solve(system: AssembledSystem, tol: float = 1e-12, max_iter: int = 100) -> S
     the residual max-norm is at most tol, or when the Newton step fell to
     rounding level in Y, as _newton describes.
     """
-    if tol <= 0.0:
-        raise ValueError(f"tol must be positive, got {tol}")
+    if not (np.isfinite(tol) and tol > 0.0):
+        raise ValueError(f"tol must be finite and positive, got {tol}")
     if max_iter < 1:
         raise ValueError(f"max_iter must be at least 1, got {max_iter}")
     return _newton(system, system.forcing, tol, max_iter)

@@ -108,6 +108,10 @@ def test_syntax_error_positions():
         parse_expression("2 @ 3")
     assert info.value.position == 2
 
+    with pytest.raises(ExprSyntaxError, match="not finite") as info:
+        parse_expression("2*t + 1e999")
+    assert info.value.position == 6
+
 
 def test_unknown_names_are_flagged_at_their_offset():
     with pytest.raises(UnknownIdentifier) as info:

@@ -272,6 +272,26 @@ def test_cli_rejects_malformed_file_with_position(tmp_path, capsys):
     assert "position 2" in captured.err
 
 
+@pytest.mark.parametrize(
+    "old, new, line",
+    [
+        ("lambda = 1", "lambda = nan", 3),
+        ("ics = 1", "ics = inf", 8),
+        ("f = e^(t + 1)", "f = 1e999*t", 5),
+        ("exact = exp(t)", "exact = exp(t)\nM = nan", 12),
+    ],
+    ids=["lambda", "ics", "f-literal", "M"],
+)
+def test_cli_rejects_non_finite_numbers_with_line(tmp_path, capsys, old, new, line):
+    problem = tmp_path / "non_finite.prob"
+    problem.write_text(FREDHOLM_TEXT.replace(old, new))
+    code = main(["solve", str(problem)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith(f"{problem}:{line}: ")
+    assert captured.err.count("\n") == 1
+
+
 def test_cli_rejects_missing_file(tmp_path, capsys):
     code = main(["solve", str(tmp_path / "absent.prob")])
     captured = capsys.readouterr()
@@ -284,7 +304,8 @@ def test_cli_rejects_bad_overrides(tmp_path, capsys):
     problem.write_text(VOLTERRA_TEXT)
     assert main(["solve", str(problem), "--r", "0"]) == 2
     assert main(["solve", str(problem), "--grid-size", "0"]) == 2
-    assert main(["solve", str(problem), "--tol", "-1"]) == 2
+    for tol in ("-1", "nan", "inf"):
+        assert main(["solve", str(problem), "--tol", tol]) == 2
     capsys.readouterr()
 
 
@@ -399,6 +420,34 @@ def test_solution_in_basis_span_is_recovered(scalar):
     output = run(parse_problem(SPURIOUS_ROOT_TEXT.format(scalar=scalar)))
     assert output.report.converged
     assert output.max_abs_error <= 1e-10
+
+
+# ROADMAP item 1's second reproducer, with a smooth kernel at the fredholm-wide
+# shape: the projection of exp(1.1 t) is near a root (grid error 1.6e-5), but
+# Newton from Y = F converges to another root, with grid error 4.47
+SMOOTH_KERNEL_SPURIOUS_ROOT_TEXT = """\
+kind = fredholm
+lambda = 1.3
+kernel = cos(5*t*s)
+f = exp(1.1*t) + 1.43*(exp(2.2)*(2.2*cos(5*t) + 5*t*sin(5*t)) - 2.2)/(4.84 + 25*t^2)
+m = 0
+n = 1
+ics = 1
+r = 3
+q = 12
+exact = exp(1.1*t)
+"""
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="ROADMAP item 1: Newton from Y = F converges to a spurious root "
+    "with y(0) = 2.61 (grid error 4.47)",
+)
+def test_smooth_kernel_solution_is_recovered():
+    output = run(parse_problem(SMOOTH_KERNEL_SPURIOUS_ROOT_TEXT))
+    assert output.report.converged
+    assert output.max_abs_error <= 1e-4
 
 
 # problem 410 of the benchmark's volterra-deep stream at seed 3: Newton from

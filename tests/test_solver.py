@@ -1,13 +1,14 @@
 """Residuals, Newton solver, error bound and derivative estimation."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from legpulse.basis import BasisConfig, project_function, reconstruct
+from legpulse.opmatrices import build_L, build_P
 from legpulse.solver import (
-    AssembledSystem,
     _jacobian,
     assemble,
     derivative_max,
@@ -132,8 +133,9 @@ def test_jacobian_close_to_central():
 
 def test_solve_validates_inputs():
     system = fredholm_exp_system()
-    with pytest.raises(ValueError):
-        solve(system, tol=0.0)
+    for tol in (0.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            solve(system, tol=tol)
     with pytest.raises(ValueError):
         solve(system, max_iter=0)
 
@@ -141,13 +143,28 @@ def test_solve_validates_inputs():
 def test_config_mismatch_between_pieces_rejected():
     good = fredholm_exp_system()
     other = fredholm_exp_system(r=3, q=1)
-    pieces = dict(vars(good))
     with pytest.raises(ValueError, match="kernel was built for"):
-        AssembledSystem(**{**pieces, "kernel": other.kernel})
+        dataclasses.replace(good, kernel=other.kernel)
     with pytest.raises(ValueError, match="tensor was built for"):
-        AssembledSystem(**{**pieces, "tensor": other.tensor})
+        dataclasses.replace(good, tensor=other.tensor)
     with pytest.raises(ValueError, match="ics was built for"):
-        AssembledSystem(**{**pieces, "ics": other.ics})
+        dataclasses.replace(good, ics=other.ics)
+
+
+def test_kernel_split_follows_kernel_and_kind():
+    volterra = volterra_sin_system()
+    r, q = volterra.config.r, volterra.config.q
+    blocks = volterra.kernel.reshape(q, r, q, r)
+    for k in range(q):
+        np.testing.assert_array_equal(volterra.diagonal[k], blocks[k, :, k])
+        for l in range(q):
+            expected = blocks[k, :, l] if l < k else 0.0
+            np.testing.assert_array_equal(volterra.C.reshape(q, r, q, r)[k, :, l], expected)
+    fredholm = dataclasses.replace(volterra, kind="fredholm")
+    assert fredholm.C is fredholm.kernel
+    assert fredholm.diagonal is None
+    with pytest.raises(ValueError, match="init=False"):
+        dataclasses.replace(volterra, C=volterra.kernel)
 
 
 def test_fredholm_residual_matches_direct_quadrature():
@@ -275,9 +292,12 @@ def _random_system(kind, m, n, r, q, seed):
 
 def _dense_residual(system, y):
     """The residual from dense matrices, block-diagonal matrices built in full:
-    Y + c K C~_m L Y_n - F (Fredholm), Y + c hat(K C~_m C~_n P) - F (Volterra)."""
+    Y + c K C~_m L Y_n - F (Fredholm), Y + c hat(K C~_m C~_n P) - F (Volterra).
+    These are the paper's forms, so this also checks that residual's one
+    carried-plus-partial core equals them."""
     cfg, t = system.config, system.tensor
     r, q = cfg.r, cfg.q
+    P, L = build_P(cfg), build_L(cfg)
 
     def lifted(order):
         out = y
@@ -296,9 +316,9 @@ def _dense_residual(system, y):
 
     ym, yn = lifted(system.m), lifted(system.n)
     if system.kind == "fredholm":
-        integral = system.kernel @ coeff(ym) @ system.L @ yn
+        integral = system.kernel @ coeff(ym) @ L @ yn
     else:
-        inner = system.kernel @ coeff(ym) @ coeff(yn) @ system.P
+        inner = system.kernel @ coeff(ym) @ coeff(yn) @ P
         integral = np.empty(cfg.dim)
         for k in range(q):
             block = slice(k * r, (k + 1) * r)
