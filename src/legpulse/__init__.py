@@ -27,7 +27,6 @@ from .exprlang import (
     to_string,
     variables,
 )
-from .legendre import QuadratureRule, gauss_rule, legendre_table
 from .lift import InitialConditions, lift, project_initial
 from .opmatrices import (
     build_J,
@@ -75,7 +74,6 @@ __all__ = [
     "InitialConditions",
     "ProblemFileError",
     "ProblemSpec",
-    "QuadratureRule",
     "ReferenceCase",
     "RunFailure",
     "RunOutput",
@@ -94,9 +92,7 @@ __all__ = [
     "eval_basis",
     "evaluate",
     "format_report",
-    "gauss_rule",
     "hat_vector",
-    "legendre_table",
     "lift",
     "load_problem",
     "parse_expression",

@@ -4,6 +4,8 @@ The basis splits [0, 1) into q equal half-open subintervals (blocks) and
 carries the Legendre polynomials of orders 0 .. r-1 on each, rescaled by the
 affine map x = 2qt - 2k + 1 that sends block k to [-1, 1]. Coefficients are
 stored block-major: entry (k-1)*r + m belongs to order m on block k.
+Legendre values and the per-block Gauss-Legendre rules of the projections
+come from numpy.polynomial.legendre (legvander and leggauss).
 """
 
 from __future__ import annotations
@@ -13,9 +15,8 @@ from functools import lru_cache
 from typing import Callable
 
 import numpy as np
+from numpy.polynomial.legendre import leggauss, legvander
 from numpy.typing import ArrayLike
-
-from .legendre import gauss_rule, legendre_table
 
 
 @dataclass(frozen=True)
@@ -53,12 +54,12 @@ def _projection_data(config: BasisConfig):
     Returns (ts, w, leg, scale) with ts[k-1, i] = node x_i mapped into block
     k, leg[m, i] = p_m(x_i) and scale[m] = (2m + 1) / 2.
     """
-    rule = gauss_rule(config.quad_points)
+    nodes, weights = leggauss(config.quad_points)
     k = np.arange(1, config.q + 1)[:, None]
-    ts = (rule.nodes + 2 * k - 1) / (2 * config.q)
-    leg = legendre_table(config.r, rule.nodes)
+    ts = (nodes + 2 * k - 1) / (2 * config.q)
+    leg = legvander(nodes, config.r - 1).T
     scale = (2.0 * np.arange(config.r) + 1.0) / 2.0
-    return ts, rule.weights, leg, scale
+    return ts, weights, leg, scale
 
 
 def block_of(config: BasisConfig, t: ArrayLike):
@@ -78,7 +79,7 @@ def eval_basis(config: BasisConfig, t: ArrayLike) -> np.ndarray:
     k = np.asarray(block_of(config, t)).ravel()
     x = 2.0 * config.q * t.ravel() - 2.0 * k + 1.0
     out = np.zeros((t.size, config.q, config.r))
-    out[np.arange(t.size), k - 1] = legendre_table(config.r, x).T
+    out[np.arange(t.size), k - 1] = legvander(x, config.r - 1)
     return out.reshape(t.shape + (config.dim,))
 
 
@@ -99,8 +100,9 @@ def project_function(
     f must be numpy-vectorized: it is called once, on the (q, quad_points)
     array of all quadrature nodes.  Coefficient (k, m) is q(2m+1) times the
     integral of f against the basis function over block k, evaluated with
-    the per-block Gauss rule, so it is exact whenever f restricted to the
-    block is a polynomial of degree <= 2*quad_points - 1.  Raises ValueError
+    the per-block Gauss rule.  The integrand is f times a Legendre polynomial
+    of degree up to r - 1, so the projection is exact whenever f restricted
+    to the block is a polynomial of degree <= 2*quad_points - r.  Raises ValueError
     when f or the projection is not finite.
     """
     ts, w, leg, scale = _projection_data(config)

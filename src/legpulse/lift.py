@@ -65,10 +65,8 @@ def lift(y: np.ndarray, n: int, ics: InitialConditions, J: np.ndarray) -> np.nda
     return y
 
 
-def lift_with_derivative(
-    y: np.ndarray, n: int, ics: InitialConditions, J: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """The n-th lift of y and its derivative in y, J^n, as a (dim,) and a
-    (dim, dim) array.  The lift is affine in y, so J^n is its derivative at
-    every y."""
-    return lift(y, n, ics, J), np.linalg.matrix_power(J, n)
+def lift_map(n: int, ics: InitialConditions, J: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The n-th lift as the affine map y -> J^n y + b: J^n, a (dim, dim)
+    array, and b, the lift of the zero vector, a (dim,) array.  J^n is also
+    the derivative of the lift at every y."""
+    return np.linalg.matrix_power(J, n), lift(np.zeros(ics.config.dim), n, ics, J)

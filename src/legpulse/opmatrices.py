@@ -7,7 +7,9 @@ block-local tensor of normalized triple products, from which the coefficient
 matrix of a vector and the row vector of a quadratic form are assembled for
 arbitrary (r, q). Both work block by block and accept leading batch axes;
 product_tangent gives the derivatives of the block product of two coefficient
-matrices, from which Newton's Jacobian is built.
+matrices, from which Newton's Jacobian is built. The triple products are
+Gauss-Legendre sums, with nodes, weights and Legendre values taken from
+numpy.polynomial.legendre.
 
 The build_* functions depend on the config alone, so each result is built
 once per config, cached for the life of the process, and returned read-only.
@@ -22,9 +24,9 @@ from __future__ import annotations
 from functools import lru_cache
 
 import numpy as np
+from numpy.polynomial.legendre import leggauss, legvander
 
 from .basis import BasisConfig
-from .legendre import gauss_rule, legendre_table
 
 _INVERSE_RESIDUAL_TOL = 1e-10
 
@@ -110,10 +112,10 @@ def build_triple_tensor(config: BasisConfig) -> np.ndarray:
     degree-3(r-1) products exactly.
     """
     r = config.r
-    rule = gauss_rule(-(-(3 * (r - 1) + 1) // 2))
-    leg = legendre_table(r, rule.nodes)
+    nodes, weights = leggauss(-(-(3 * (r - 1) + 1) // 2))
+    leg = legvander(nodes, r - 1)
     scale = (2.0 * np.arange(r) + 1.0) / 2.0
-    return _frozen(np.einsum("n,in,jn,mn,m->ijm", rule.weights, leg, leg, leg, scale))
+    return _frozen(np.einsum("n,ni,nj,nm,m->ijm", weights, leg, leg, leg, scale))
 
 
 def coeff_matrix(c: np.ndarray, tensor: np.ndarray) -> np.ndarray:

@@ -324,7 +324,10 @@ def run(spec: ProblemSpec, tol: float = 1e-12, max_iter: int = 100) -> RunOutput
     except (ExprEvalError, ValueError, ArithmeticError) as exc:
         raise RunFailure(f"could not assemble {spec.origin}: {exc}") from exc
 
-    report = solve(system, tol=tol, max_iter=max_iter)
+    try:
+        report = solve(system, tol=tol, max_iter=max_iter)
+    except FloatingPointError as exc:
+        raise RunFailure(f"could not solve {spec.origin}: {exc}") from exc
 
     try:
         y_approx = reconstruct(config, report.Y, spec.grid)

@@ -23,7 +23,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .basis import BasisConfig, project_function, project_kernel
-from .lift import InitialConditions, lift, lift_with_derivative
+from .lift import InitialConditions, lift, lift_map
 from .opmatrices import (
     build_J,
     build_P,
@@ -48,16 +48,19 @@ class AssembledSystem:
 
     kind is "fredholm" (integral over the whole interval) or "volterra"
     (integral from 0 to t); scalar multiplies the integral term; m and n
-    are the derivative orders inside the integrand.  kernel and J are
-    (dim, dim) arrays, forcing is (dim,) and tensor is the (r, r, r) triple
-    tensor, all for config; assemble shares J and tensor read-only with
-    every other system of the same config.
+    are the derivative orders inside the integrand.  kernel is a
+    (dim, dim) array and forcing a (dim,) array, both for config.
 
-    The split of the kernel that the integral core reads is built here,
-    once, from kernel and kind: C, the (dim, dim) carried kernel (kernel
-    itself for Fredholm); diagonal, the (q, r, r) diagonal blocks of the
-    kernel for Volterra and None for Fredholm; and E, the (r, r) diagonal
-    block of the integration matrix.
+    Everything else is built here, once, from those fields: the (r, r, r)
+    triple tensor and the (dim, dim) lift matrix J, shared read-only with
+    every other system of the same config; the split of the kernel that the
+    integral core reads, C, the (dim, dim) carried kernel (kernel itself for
+    Fredholm), diagonal, the (q, r, r) diagonal blocks of the kernel for
+    Volterra and None for Fredholm, and E, the (r, r) diagonal block of the
+    integration matrix; and the m-th and n-th lifts as one affine map
+    y -> A y + a, grouped by block: A[k, :r] and A[k, r:] are the rows of
+    J^m and J^n for block k, shape (q, 2r, dim), and a, shape (q, 2r), holds
+    the lifts of the zero vector in the same layout.
     """
 
     config: BasisConfig
@@ -68,11 +71,13 @@ class AssembledSystem:
     m: int
     n: int
     ics: InitialConditions
-    tensor: np.ndarray
-    J: np.ndarray
+    tensor: np.ndarray = field(init=False, repr=False)
+    J: np.ndarray = field(init=False, repr=False)
     C: np.ndarray = field(init=False, repr=False)
     diagonal: np.ndarray | None = field(init=False, repr=False)
     E: np.ndarray = field(init=False, repr=False)
+    A: np.ndarray = field(init=False, repr=False)
+    a: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.kind not in KINDS:
@@ -94,12 +99,15 @@ class AssembledSystem:
             "kernel": (self.kernel.shape, (dim, dim)),
             "forcing": (self.forcing.shape, (dim,)),
             "ics": (self.ics.config, self.config),
-            "tensor": (self.tensor.shape, (r, r, r)),
-            "J": (self.J.shape, (dim, dim)),
         }
         for label, (got, want) in built_for.items():
             if got != want:
                 raise ValueError(f"{label} was built for {got}, but {self.config} needs {want}")
+        self.tensor = build_triple_tensor(self.config)
+        self.J = build_J(self.config)
+        maps = [lift_map(k, self.ics, self.J) for k in (self.m, self.n)]
+        self.A = np.concatenate([A.reshape(q, r, dim) for A, _ in maps], axis=1)
+        self.a = np.concatenate([a.reshape(q, r) for _, a in maps], axis=1)
         self.E = build_P(self.config)[:r, :r]
         if self.kind == "fredholm":
             self.C, self.diagonal = self.kernel, None
@@ -143,8 +151,6 @@ def assemble(
         m=int(m),
         n=int(n),
         ics=InitialConditions(tuple(ics), config),
-        tensor=build_triple_tensor(config),
-        J=build_J(config),
     )
 
 
@@ -158,16 +164,18 @@ def residual(system: AssembledSystem, y: np.ndarray) -> np.ndarray:
     K C~_u L v for Fredholm, since C~_v e0 = q L v, and for Volterra it is
     the part of hat(K D P) that P's 1/q entries above its diagonal blocks
     carry from every earlier block: hat(w e0^T) = w, since multiplying by
-    the constant mode is the identity.
+    the constant mode is the identity.  Overflow gives a non-finite R, with
+    no numpy warning.
     """
     y = np.asarray(y, dtype=float)
-    u = lift(y, system.m, system.ics, system.J)
-    v = lift(y, system.n, system.ics, system.J)
-    d = coeff_matrix(u, system.tensor) @ coeff_matrix(v, system.tensor)
-    integral = system.C @ d[..., 0].ravel() / system.config.q
-    if system.diagonal is not None:
-        integral += hat_vector(system.diagonal @ d @ system.E, system.tensor)
-    return y + system.scalar * integral - system.forcing
+    with np.errstate(over="ignore", invalid="ignore"):
+        u = lift(y, system.m, system.ics, system.J)
+        v = lift(y, system.n, system.ics, system.J)
+        d = coeff_matrix(u, system.tensor) @ coeff_matrix(v, system.tensor)
+        integral = system.C @ d[..., 0].ravel() / system.config.q
+        if system.diagonal is not None:
+            integral += hat_vector(system.diagonal @ d @ system.E, system.tensor)
+        return y + system.scalar * integral - system.forcing
 
 
 def _inf_norm(vec: np.ndarray) -> float:
@@ -177,25 +185,25 @@ def _inf_norm(vec: np.ndarray) -> float:
 def _jacobian(system: AssembledSystem, y: np.ndarray) -> np.ndarray:
     """Exact Jacobian of the residual at y, the tangent of its bilinear core.
 
-    R = Y + c I(u, v) - F, with u = A_m Y + a and v = A_n Y + b the affine
-    lifts (A_k = J^k), so dR = I + c (d_u I(., v) A_m + d_v I(u, .) A_n).
-    Both partials come from X = product_tangent(u, v), the derivatives of
-    the block product D = C~_u C~_v: the carried term's are
-    C blockdiag(X e0) / q, and the Volterra partial term's are
-    blockdiag(hat(K_kk X E)), as in residual.
+    R = Y + c I(u, v) - F, with u = J^m Y + a_m and v = J^n Y + a_n the
+    affine lifts, read from the system's map A y + a, so
+    dR = I + c (d_u I(., v) J^m + d_v I(u, .) J^n).  Both partials come from
+    X = product_tangent(u, v), the derivatives of the block product
+    D = C~_u C~_v: the carried term's are C blockdiag(X e0) / q, and the
+    Volterra partial term's are blockdiag(hat(K_kk X E)), as in residual.
+    Block k of u and v depends on y through the 2r rows A[k].
     """
     q, r, dim = system.config.q, system.config.r, system.config.dim
-    u, A_m = lift_with_derivative(y, system.m, system.ics, system.J)
-    v, A_n = lift_with_derivative(y, system.n, system.ics, system.J)
-    X = product_tangent(u, v, system.tensor)
-    # block k of u and v depends on y through these 2r rows of A_m and A_n
-    A = np.concatenate([A_m.reshape(q, r, dim), A_n.reshape(q, r, dim)], axis=1)
-    tangent = system.C @ ((X[..., 0].swapaxes(1, 2) @ A).reshape(dim, dim) / q)
-    if system.diagonal is not None:
-        S = system.diagonal[:, None] @ X @ system.E
-        hat = S.reshape(q, 2 * r, r * r) @ system.tensor.reshape(r * r, r)
-        tangent += (hat.swapaxes(1, 2) @ A).reshape(dim, dim)
-    return np.eye(dim) + system.scalar * tangent
+    A = system.A
+    with np.errstate(over="ignore", invalid="ignore"):
+        u, v = (A @ y + system.a).reshape(q, 2, r).swapaxes(0, 1).reshape(2, dim)
+        X = product_tangent(u, v, system.tensor)
+        tangent = system.C @ ((X[..., 0].swapaxes(1, 2) @ A).reshape(dim, dim) / q)
+        if system.diagonal is not None:
+            S = system.diagonal[:, None] @ X @ system.E
+            hat = S.reshape(q, 2 * r, r * r) @ system.tensor.reshape(r * r, r)
+            tangent += (hat.swapaxes(1, 2) @ A).reshape(dim, dim)
+        return np.eye(dim) + system.scalar * tangent
 
 
 def _newton(
@@ -209,10 +217,13 @@ def _newton(
     can lie above a tight tol.  Each step is halved, at most _MAX_HALVINGS
     times, until the residual decreases; the run stops unconverged when
     that fails, when the Jacobian is singular or after max_iter steps.
+    Raises FloatingPointError when the residual at start is not finite.
     """
     y = np.array(start, dtype=float)
     res = residual(system, y)
     norm = _inf_norm(res)
+    if not np.isfinite(norm):
+        raise FloatingPointError(f"the starting residual is not finite (max-norm {norm})")
     converged = norm <= tol
     step_floor = _STEP_ULPS * np.finfo(float).eps
     iterations = 0
@@ -254,7 +265,8 @@ def solve(system: AssembledSystem, tol: float = 1e-12, max_iter: int = 100) -> S
     The forcing coefficients are the exact solution when the integral term
     vanishes and a good predictor otherwise.  The report is converged when
     the residual max-norm is at most tol, or when the Newton step fell to
-    rounding level in Y, as _newton describes.
+    rounding level in Y, as _newton describes.  Raises FloatingPointError
+    when the residual at Y = F overflows or is otherwise not finite.
     """
     if not (np.isfinite(tol) and tol > 0.0):
         raise ValueError(f"tol must be finite and positive, got {tol}")

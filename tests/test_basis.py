@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from numpy.polynomial.legendre import leggauss, legvander
 
 from legpulse.basis import (
     BasisConfig,
@@ -14,7 +15,6 @@ from legpulse.basis import (
     project_kernel,
     reconstruct,
 )
-from legpulse.legendre import gauss_rule, legendre_table
 
 E = math.e
 
@@ -141,9 +141,8 @@ def test_projections_match_blockwise_reference():
     # computed before they were vectorized
     cfg = BasisConfig(q=12, r=3)
     q, r = cfg.q, cfg.r
-    rule = gauss_rule(cfg.quad_points)
-    x, w = rule.nodes, rule.weights
-    wleg = legendre_table(r, x) * w
+    x, w = leggauss(cfg.quad_points)
+    wleg = legvander(x, r - 1).T * w
     scale = np.arange(r) + 0.5
     nodes = [(x + 2 * k + 1) / (2 * q) for k in range(q)]
     for g in (lambda t, s: np.exp(t - s), lambda t, s: np.sin(t - s)):
@@ -213,6 +212,22 @@ def blockwise_rule(q, points=50):
         ts.append((nodes + 1.0) / 2.0 * (b - a) + a)
         ws.append(weights * (b - a) / 2.0)
     return np.concatenate(ts), np.concatenate(ws)
+
+
+@pytest.mark.parametrize("points, r", [(3, 3), (4, 3), (5, 4)])
+def test_projection_exact_up_to_degree_2q_minus_r(points, r):
+    # the integrand f * p_m has degree deg f + r - 1, so a points-point rule
+    # is exact for deg f <= 2 * points - r and no further
+    cfg = BasisConfig(q=2, r=r, quad_points=points)
+    ts, weights = blockwise_rule(cfg.q, 60)
+    samples = eval_basis(cfg, ts)
+    scale = cfg.q * np.tile(2.0 * np.arange(r) + 1.0, cfg.q)
+    errors = []
+    for degree in (2 * points - r, 2 * points - r + 1):
+        oracle = scale * (samples.T @ (weights * ts**degree))
+        errors.append(np.max(np.abs(project_function(cfg, lambda t: t**degree) - oracle)))
+    assert errors[0] <= 1e-13
+    assert errors[1] >= 1e-7
 
 
 def test_coeff_vector_validation():

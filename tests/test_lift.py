@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from legpulse.basis import BasisConfig, project_function
-from legpulse.lift import InitialConditions, lift, project_initial
+from legpulse.lift import InitialConditions, lift, lift_map, project_initial
 from legpulse.opmatrices import build_J
 
 E = math.e
@@ -42,6 +42,17 @@ def test_lift_requires_enough_initial_conditions():
     Y = np.zeros(3)
     with pytest.raises(ValueError, match="2 initial conditions"):
         lift(Y, 2, InitialConditions((1.0,), cfg), J)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2])
+def test_lift_map_is_the_affine_lift(n):
+    cfg = BasisConfig(q=3, r=3)
+    J = build_J(cfg)
+    ics = InitialConditions((0.7, -1.3), cfg)
+    A, b = lift_map(n, ics, J)
+    y = np.random.default_rng(n).standard_normal(cfg.dim)
+    expected = lift(y, n, ics, J)
+    np.testing.assert_allclose(A @ y + b, expected, rtol=0, atol=1e-12 * np.abs(expected).max())
 
 
 def test_lift_single_block_closed_form():

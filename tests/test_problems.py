@@ -387,6 +387,33 @@ def test_cli_rejects_forcing_whose_projection_overflows(tmp_path, capsys):
     )
 
 
+OVERFLOWING_RESIDUAL_TEXT = """\
+kind = fredholm
+lambda = 0
+kernel = 1
+f = 1e300*t^5
+m = 0
+n = 0
+r = 5
+q = 1
+exact = 1e300*t^5
+"""
+
+
+# the squared coefficients overflow although the scalar is 0; the run must
+# stop with its own error line, not a numpy warning or a non-convergence
+@pytest.mark.filterwarnings("error")
+def test_cli_rejects_residual_that_overflows_at_the_start(tmp_path, capsys):
+    problem = tmp_path / "overflow.prob"
+    problem.write_text(OVERFLOWING_RESIDUAL_TEXT)
+    code = main(["solve", str(problem)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err == (
+        f"could not solve {problem}: the starting residual is not finite (max-norm nan)\n"
+    )
+
+
 SPURIOUS_ROOT_TEXT = """\
 kind = fredholm
 lambda = {scalar}
