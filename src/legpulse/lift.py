@@ -3,8 +3,8 @@
 Writing Y0^(i) for the projection of the constant y^(i)(0), the lift is the
 recursion Y^(i+1) = J (Y^(i) - Y0^(i)) with J the inverse transpose of the
 integration matrix; unrolled it reads J^n Y - sum_{k=1..n} J^k Y0^(n-k).
-The recursion is applied directly rather than through explicit matrix
-powers, which conditions better and needs no extra storage.
+lift applies it to one vector; lift_map forms the dense power J^n with
+matrix_power, which each assembled system keeps in its lifts' affine map.
 """
 
 from __future__ import annotations

@@ -5,11 +5,11 @@ running integral; L is the diagonal Gram matrix; J = (P^T)^-1 drives the
 derivative lift. Multiplication of two basis expansions is captured by a
 block-local tensor of normalized triple products, from which the coefficient
 matrix of a vector and the row vector of a quadratic form are assembled for
-arbitrary (r, q). Both work block by block and accept leading batch axes;
-product_tangent gives the derivatives of the block product of two coefficient
-matrices, from which Newton's Jacobian is built. The triple products are
-Gauss-Legendre sums, with nodes, weights and Legendre values taken from
-numpy.polynomial.legendre.
+arbitrary (r, q). Both work block by block and accept leading batch axes.
+The product tensor holds the block product of two coefficient matrices as a
+bilinear form in the two vectors, from which Newton's Jacobian is built.
+The triple products are Gauss-Legendre sums, with nodes, weights and
+Legendre values taken from numpy.polynomial.legendre.
 
 The build_* functions depend on the config alone, so each result is built
 once per config, cached for the life of the process, and returned read-only.
@@ -118,6 +118,17 @@ def build_triple_tensor(config: BasisConfig) -> np.ndarray:
     return _frozen(np.einsum("n,ni,nj,nm,m->ijm", weights, leg, leg, leg, scale))
 
 
+@lru_cache(maxsize=None)
+def build_product_tensor(config: BasisConfig) -> np.ndarray:
+    """Products Z[j, l] = T_j T_l, shape (r, r, r, r), of the coefficient
+    matrices T_j = t[j] of one block's basis functions, t the triple tensor:
+    Z[j, l, c, d] = sum_e t[c, j, e] t[e, l, d], and each block of C~_u C~_v
+    is the bilinear form sum_{j,l} u_j v_l Z[j, l] of its coefficients.
+    """
+    t = build_triple_tensor(config)
+    return _frozen(t[:, None] @ t[None, :])
+
+
 def coeff_matrix(c: np.ndarray, tensor: np.ndarray) -> np.ndarray:
     """Diagonal blocks of the matrix of multiplication by the function with
     coefficients c.
@@ -133,21 +144,6 @@ def coeff_matrix(c: np.ndarray, tensor: np.ndarray) -> np.ndarray:
     by_j = tensor.transpose(1, 0, 2).reshape(r, r * r)
     blocks = c.reshape(c.shape[:-1] + (-1, r)) @ by_j
     return blocks.reshape(blocks.shape[:-1] + (r, r))
-
-
-def product_tangent(u: np.ndarray, v: np.ndarray, tensor: np.ndarray) -> np.ndarray:
-    """Diagonal blocks of the derivatives of the product C~_u C~_v in u and in v.
-
-    u and v are (dim,) coefficient vectors and tensor the (r, r, r) triple
-    tensor; the result X has shape (q, 2r, r, r).  X[k, j] is the derivative
-    of block k of the product in coefficient (k, j) of u, T_j C~_v,k, and
-    X[k, r + j] the one in coefficient (k, j) of v, C~_u,k T_j.  Here T_j,
-    the coefficient matrix of the j-th basis function of a block, is tensor[j],
-    since the tensor is symmetric in its first two indices.  No block depends
-    on the coefficients of another.
-    """
-    cu, cv = coeff_matrix(np.stack([u, v]), tensor)
-    return np.concatenate([tensor @ cv[:, None], cu[:, None] @ tensor], axis=1)
 
 
 def hat_vector(S: np.ndarray, tensor: np.ndarray) -> np.ndarray:

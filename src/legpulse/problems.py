@@ -339,15 +339,18 @@ def run(spec: ProblemSpec, tol: float = 1e-12, max_iter: int = 100) -> RunOutput
                 GridRow(t, float(y), float(ye), float(abs(y - ye)))
                 for t, y, ye in zip(spec.grid, y_approx, y_exact)
             ]
-        bound = None
-        mu = spec.r - 1
-        if spec.deriv_bound is not None:
-            bound = error_bound(mu, spec.deriv_bound)
-        elif spec.exact is not None:
-            estimate = derivative_max(lambda x: evaluate(spec.exact, x), mu + 1)
-            bound = error_bound(mu, estimate)
     except ExprEvalError as exc:
         raise RunFailure(f"could not evaluate {spec.origin} on its grid: {exc}") from exc
+
+    bound = None
+    try:
+        if spec.deriv_bound is not None:
+            bound = error_bound(spec.r - 1, spec.deriv_bound)
+        elif spec.exact is not None:
+            estimate = derivative_max(lambda x: evaluate(spec.exact, x), spec.r)
+            bound = error_bound(spec.r - 1, estimate)
+    except (ExprEvalError, ValueError, ArithmeticError) as exc:
+        raise RunFailure(f"could not bound the error of {spec.origin}: {exc}") from exc
 
     return RunOutput(spec=spec, config=config, report=report, rows=tuple(rows), bound=bound)
 

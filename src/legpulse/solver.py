@@ -11,7 +11,7 @@ product of the coefficient matrices of the lifts u and v, the integral is
 the carried term C (D e0) / q, plus, for Volterra only, the partial term
 hat(K_kk D_k E) of each block with itself.  C is the whole kernel matrix K
 for Fredholm, and K with every block on or above the diagonal zeroed for
-Volterra.
+Volterra.  Newton's Jacobian uses both terms' Hessians in a block's lifts.
 """
 
 from __future__ import annotations
@@ -27,10 +27,10 @@ from .lift import InitialConditions, lift, lift_map
 from .opmatrices import (
     build_J,
     build_P,
+    build_product_tensor,
     build_triple_tensor,
     coeff_matrix,
     hat_vector,
-    product_tangent,
 )
 
 KINDS = ("fredholm", "volterra")
@@ -60,7 +60,10 @@ class AssembledSystem:
     integration matrix; and the m-th and n-th lifts as one affine map
     y -> A y + a, grouped by block: A[k, :r] and A[k, r:] are the rows of
     J^m and J^n for block k, shape (q, 2r, dim), and a, shape (q, 2r), holds
-    the lifts of the zero vector in the same layout.
+    the lifts of the zero vector in the same layout.  Z0 and W (None for
+    Fredholm) are the Hessians in w_k = (u_k, v_k), as _hessian describes, of
+    D_k e0 = sum_{j,l} u_kj v_kl Z[j, l, :, 0], Z the product tensor, and of
+    hat(K_kk D_k E) = sum_{j,l} u_kj v_kl W_k[j, l], W_k[j, l] = hat(K_kk Z[j, l] E).
     """
 
     config: BasisConfig
@@ -78,6 +81,8 @@ class AssembledSystem:
     E: np.ndarray = field(init=False, repr=False)
     A: np.ndarray = field(init=False, repr=False)
     a: np.ndarray = field(init=False, repr=False)
+    Z0: np.ndarray = field(init=False, repr=False)
+    W: np.ndarray | None = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.kind not in KINDS:
@@ -109,11 +114,29 @@ class AssembledSystem:
         self.A = np.concatenate([A.reshape(q, r, dim) for A, _ in maps], axis=1)
         self.a = np.concatenate([a.reshape(q, r) for _, a in maps], axis=1)
         self.E = build_P(self.config)[:r, :r]
+        Z = build_product_tensor(self.config)
+        self.Z0 = _hessian(Z[..., 0])
         if self.kind == "fredholm":
-            self.C, self.diagonal = self.kernel, None
+            self.C, self.diagonal, self.W = self.kernel, None, None
         else:
             self.C = self.kernel * np.tri(q, k=-1).repeat(r, 0).repeat(r, 1)
             self.diagonal = self.kernel.reshape(q, r, q, r)[np.arange(q), :, np.arange(q)]
+            # W_k[j, l] = sum_{c,d} Z[j, l, c, d] G_k[c, d], G_k[c, d] = hat(K_kk[:, c] E[d]^T)
+            G = self.diagonal.swapaxes(1, 2) @ (self.E @ self.tensor).reshape(r, r * r)
+            W = Z.reshape(r * r, r * r) @ G.reshape(q, r * r, r)
+            self.W = _hessian(W.reshape(q, r, r, r))
+
+
+def _hessian(Q: np.ndarray) -> np.ndarray:
+    """Hessian in w = (u, v) of B(u, v)_m = sum_{j,l} u_j v_l Q[..., j, l, m],
+    shape (..., 2r, s * 2r) for Q of shape (..., r, r, s): w @ H, reshaped to
+    (..., s, 2r), is B's Jacobian [Q v | u Q] at w.  Its zero half buys one
+    matmul per Jacobian in place of two differently strided ones."""
+    r, s = Q.shape[-2], Q.shape[-1]
+    H = np.zeros(Q.shape[:-3] + (2, r, s, 2, r))
+    H[..., 1, :, :, 0, :] = np.moveaxis(Q, -3, -1)
+    H[..., 0, :, :, 1, :] = Q.swapaxes(-1, -2)
+    return H.reshape(Q.shape[:-3] + (2 * r, s * 2 * r))
 
 
 @dataclass
@@ -186,24 +209,23 @@ def _jacobian(system: AssembledSystem, y: np.ndarray) -> np.ndarray:
     """Exact Jacobian of the residual at y, the tangent of its bilinear core.
 
     R = Y + c I(u, v) - F, with u = J^m Y + a_m and v = J^n Y + a_n the
-    affine lifts, read from the system's map A y + a, so
-    dR = I + c (d_u I(., v) J^m + d_v I(u, .) J^n).  Both partials come from
-    X = product_tangent(u, v), the derivatives of the block product
-    D = C~_u C~_v: the carried term's are C blockdiag(X e0) / q, and the
-    Volterra partial term's are blockdiag(hat(K_kk X E)), as in residual.
-    Block k of u and v depends on y through the 2r rows A[k].
+    affine lifts, read from the system's map A y + a: w_k = (u_k, v_k) depends
+    on y through the 2r rows A[k].  I is bilinear in each w_k, so with the
+    Hessians Z0 and W, dR = I + c (C blockdiag([Z0 v_k | u_k Z0] A[k]) / q
+    + blockdiag([W_k v_k | u_k W_k] A[k])), the second term for Volterra only.
     """
     q, r, dim = system.config.q, system.config.r, system.config.dim
     A = system.A
     with np.errstate(over="ignore", invalid="ignore"):
-        u, v = (A @ y + system.a).reshape(q, 2, r).swapaxes(0, 1).reshape(2, dim)
-        X = product_tangent(u, v, system.tensor)
-        tangent = system.C @ ((X[..., 0].swapaxes(1, 2) @ A).reshape(dim, dim) / q)
-        if system.diagonal is not None:
-            S = system.diagonal[:, None] @ X @ system.E
-            hat = S.reshape(q, 2 * r, r * r) @ system.tensor.reshape(r * r, r)
-            tangent += (hat.swapaxes(1, 2) @ A).reshape(dim, dim)
-        return np.eye(dim) + system.scalar * tangent
+        w = A @ y + system.a
+        carried = (w @ system.Z0).reshape(q, r, 2 * r) @ A
+        tangent = system.C @ (carried.reshape(dim, dim) / q)
+        if system.W is not None:
+            partial = (w[:, None] @ system.W).reshape(q, r, 2 * r) @ A
+            tangent += partial.reshape(dim, dim)
+        tangent *= system.scalar
+        tangent.flat[:: dim + 1] += 1.0
+        return tangent
 
 
 def _newton(
@@ -279,13 +301,15 @@ def error_bound(mu: int, M: float) -> float:
     """Worst-case L2 error M / (2^(2*mu+1) * (mu+1)!) of a degree-mu approximant.
 
     M bounds the (mu+1)-th derivative of the function being approximated
-    on the unit interval.
+    on the unit interval.  The quotient of integers is rounded once: 0.0
+    once it underflows, never an OverflowError.
     """
     if mu < 0:
         raise ValueError(f"mu must be nonnegative, got {mu}")
     if not np.isfinite(M) or M < 0.0:
         raise ValueError(f"M must be finite and nonnegative, got {M}")
-    return M / (2 ** (2 * mu + 1) * math.factorial(mu + 1))
+    num, den = float(M).as_integer_ratio()
+    return num / (den * 2 ** (2 * mu + 1) * math.factorial(mu + 1))
 
 
 def derivative_max(
@@ -302,6 +326,8 @@ def derivative_max(
     Uses one Richardson extrapolation from steps 2h and h.  The sample
     grid is clipped so every stencil point stays inside [lo, hi].  f must
     be numpy-vectorized: each stencil offset calls it on the whole grid.
+    From order 8 up the estimate is rounding noise: for exp on [0, 1] it
+    gives 958 at order 8 and 1.1e12 at order 12, where the true value is e.
     """
     if order < 0:
         raise ValueError(f"order must be nonnegative, got {order}")

@@ -414,6 +414,36 @@ def test_cli_rejects_residual_that_overflows_at_the_start(tmp_path, capsys):
     )
 
 
+BOUND_ESTIMATE_TEXT = """\
+kind = fredholm
+lambda = 0.5
+kernel = exp(t - s)
+f = exp(t) + 0.5*exp(t)*(exp(1) - 1)
+m = 0
+n = 1
+ics = 1
+r = 50
+q = 1
+exact = exp(t)
+"""
+
+
+# without M the bound comes from derivative_max at order r, whose stencil
+# does not fit in [0, 1] for r >= 50; that ends the run with one error line
+def test_cli_reports_a_failed_bound_estimate(tmp_path, capsys):
+    problem = tmp_path / "bound.prob"
+    problem.write_text(BOUND_ESTIMATE_TEXT)
+    code = main(["solve", str(problem)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err == (
+        f"could not bound the error of {problem}: "
+        "step 0.01 is too large for order 50 on [0.0, 1.0]\n"
+    )
+    problem.write_text(BOUND_ESTIMATE_TEXT + "M = 3\n")
+    assert main(["solve", str(problem)]) == 0
+
+
 SPURIOUS_ROOT_TEXT = """\
 kind = fredholm
 lambda = {scalar}

@@ -237,6 +237,9 @@ def test_error_bound_values():
     assert error_bound(2, E) == pytest.approx(E / 192.0, abs=1e-15)
     assert error_bound(2, 2.0) == pytest.approx(0.0104166667, abs=1e-9)
     assert error_bound(0, 0.0) == 0.0
+    # 2^281 * 141! is beyond the float range, and 2^399 * 200! makes it underflow
+    assert error_bound(140, 1e300) == pytest.approx(1.3559451345174593e-28, rel=1e-15)
+    assert error_bound(199, 1.0) == 0.0
 
 
 def test_error_bound_decreases_with_degree():
@@ -327,6 +330,9 @@ def _dense_residual(system, y):
 
 
 SHAPES = [(1, 1), (3, 4), (5, 2)]
+# the benchmark's volterra-deep and fredholm-wide shapes, where a transposed
+# index in the Jacobian's bilinear tensors cannot hide
+BENCH_SHAPES = [(12, 4), (3, 12)]
 ORDERS = [(m, n) for m in range(3) for n in range(3)]
 
 
@@ -343,7 +349,7 @@ def test_residual_matches_dense_oracle(kind, r, q):
 
 
 @pytest.mark.parametrize("kind", ["fredholm", "volterra"])
-@pytest.mark.parametrize("r,q", SHAPES)
+@pytest.mark.parametrize("r,q", SHAPES + BENCH_SHAPES)
 def test_jacobian_matches_polarization_columns(kind, r, q):
     # R is quadratic, so column i of its Jacobian is exactly
     # (R(y + e_i) - R(y - e_i)) / 2, one residual pair per column
@@ -375,7 +381,7 @@ def test_jacobian_matches_central_difference_oracle(kind, m, n, r, q):
 
 
 @pytest.mark.parametrize("kind", ["fredholm", "volterra"])
-@pytest.mark.parametrize("r,q", SHAPES)
+@pytest.mark.parametrize("r,q", SHAPES + BENCH_SHAPES)
 def test_jacobian_is_exact_by_polarization(kind, r, q):
     # R is quadratic, so J(y) d = (R(y + d) - R(y - d)) / 2 for every d
     rng = np.random.default_rng(9)
