@@ -21,30 +21,27 @@ from numpy.typing import ArrayLike
 
 @dataclass(frozen=True)
 class BasisConfig:
-    """Dimensions of the hybrid space: q blocks, Legendre orders 0..r-1.
-
-    quad_points is the per-block Gauss size used by projections; the default
-    24 keeps projection error orders of magnitude below the approximation
-    error of the basis itself for smooth data.
-    """
+    """Dimensions of the hybrid space: q blocks, Legendre orders 0..r-1."""
 
     q: int
     r: int
-    quad_points: int = 24
 
     def __post_init__(self):
         if self.q < 1:
             raise ValueError(f"need at least one block, got q={self.q}")
         if self.r < 1:
             raise ValueError(f"need at least one Legendre order, got r={self.r}")
-        if self.quad_points < self.r:
-            raise ValueError(
-                f"quad_points={self.quad_points} cannot resolve r={self.r} orders"
-            )
 
     @property
     def dim(self) -> int:
         return self.r * self.q
+
+    @property
+    def quad_points(self) -> int:
+        """Per-block Gauss size of the projections: 24, which keeps the
+        projection error orders of magnitude below the approximation error
+        of the basis itself for smooth data, or r when that is larger."""
+        return max(24, self.r)
 
 
 @lru_cache(maxsize=None)

@@ -32,7 +32,7 @@ from .problems import (
     write_csv,
     write_report,
 )
-from .reference import CASES, run_case
+from .reference import run_all
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -127,13 +127,11 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 
 
 def _cmd_reproduce_paper() -> int:
-    all_ok = True
-    for case in CASES:
-        _, checks = run_case(case)
-        for check in checks:
-            status = "PASS" if check.ok else "FAIL"
-            print(f"[{status}] {check.case}: {check.check} ({check.detail})")
-            all_ok = all_ok and check.ok
+    checks = run_all()
+    for check in checks:
+        status = "PASS" if check.ok else "FAIL"
+        print(f"[{status}] {check.case}: {check.check} ({check.detail})")
+    all_ok = all(check.ok for check in checks)
     print("all reference checks passed" if all_ok else "some reference checks FAILED")
     return 0 if all_ok else 1
 

@@ -32,12 +32,11 @@ from .exprlang import (
     parse_expression,
     variables,
 )
-from .solver import assemble, derivative_max, error_bound, solve, SolveReport
+from .solver import KINDS, assemble, derivative_max, error_bound, solve, SolveReport
 
 _KNOWN_KEYS = (
     "kind",
-    "lambda",
-    "beta",
+    *KINDS.values(),
     "kernel",
     "f",
     "m",
@@ -72,9 +71,30 @@ class RunFailure(RuntimeError):
     """A problem that could not be assembled or evaluated."""
 
 
+class _FieldError(ValueError):
+    """A bad value, with the problem-file key it belongs to."""
+
+    def __init__(self, key: str, message: str):
+        super().__init__(message)
+        self.key = key
+
+
+def _scalar_key(kind: str) -> str:
+    """The problem-file key of kind's scalar, lambda or beta."""
+    try:
+        return KINDS[kind]
+    except KeyError:
+        raise _FieldError("kind", f"kind must be 'fredholm' or 'volterra', got {kind!r}") from None
+
+
 @dataclass(frozen=True)
 class ProblemSpec:
-    """A validated problem, ready to run."""
+    """A validated problem, ready to run.
+
+    Every field is checked here, and a bad one raises a ValueError that
+    names its problem-file key, so a spec built by dataclasses.replace is
+    held to the same rules as one parsed from a file.
+    """
 
     kind: str
     scalar: float
@@ -91,28 +111,30 @@ class ProblemSpec:
     origin: str = "<string>"
 
     def __post_init__(self):
-        if self.kind not in ("fredholm", "volterra"):
-            raise ValueError(f"kind must be 'fredholm' or 'volterra', got {self.kind!r}")
-        if self.m < 0 or self.n < 0:
-            raise ValueError(f"derivative orders must be nonnegative, got m={self.m}, n={self.n}")
-        if self.r < 1 or self.q < 1:
-            raise ValueError(f"r and q must be positive, got r={self.r}, q={self.q}")
-        if len(self.initial_conditions) != max(self.m, self.n):
-            raise ValueError(
-                f"derivative orders m={self.m}, n={self.n} require "
-                f"{_ics_requirement(self.m, self.n)}, "
-                f"got {len(self.initial_conditions)} value(s)"
+        scalar_key = _scalar_key(self.kind)
+        if not math.isfinite(self.scalar):
+            raise _FieldError(scalar_key, f"{scalar_key} must be finite, got {self.scalar}")
+        for key, least in (("m", 0), ("n", 0), ("r", 1), ("q", 1)):
+            value = getattr(self, key)
+            if value < least:
+                raise _FieldError(key, f"{key} must be at least {least}, got {value}")
+        ics, count = self.initial_conditions, max(self.m, self.n)
+        if len(ics) != count:
+            need = f"exactly the {count} value(s) y(0) .. y^({count - 1})(0)" if count else "none"
+            raise _FieldError(
+                "ics",
+                f"ics lists {len(ics)} value(s) but derivative orders "
+                f"m={self.m}, n={self.n} require {need}",
             )
+        for value in ics:
+            if not math.isfinite(value):
+                raise _FieldError("ics", f"ics must be finite, got {value}")
         for point in self.grid:
             if not 0.0 <= point < 1.0:
-                raise ValueError(f"grid points must lie in [0, 1), got {point}")
-
-
-def _ics_requirement(m: int, n: int) -> str:
-    count = max(m, n)
-    if count == 0:
-        return "no initial conditions"
-    return f"exactly the {count} value(s) y(0) .. y^({count - 1})(0)"
+                raise _FieldError("grid", f"grid points must lie in [0, 1), got {point}")
+        bound = self.deriv_bound
+        if bound is not None and not (math.isfinite(bound) and bound >= 0.0):
+            raise _FieldError("M", f"M must be finite and nonnegative, got {bound}")
 
 
 def _scan(text: str, origin: str) -> Dict[str, Tuple[str, int]]:
@@ -136,142 +158,73 @@ def _scan(text: str, origin: str) -> Dict[str, Tuple[str, int]]:
     return entries
 
 
-def _require(entries, key: str, origin: str) -> Tuple[str, int]:
-    if key not in entries:
-        raise ProblemFileError(f"missing required key {key!r}", origin)
-    return entries[key]
-
-
-def _int_value(entries, key: str, origin: str, minimum: int) -> int:
-    value, lineno = _require(entries, key, origin)
+def _number(text: str, key: str, cast: type = float):
     try:
-        parsed = int(value)
+        return cast(text)
     except ValueError:
-        raise ProblemFileError(f"{key} must be an integer, got {value!r}", origin, lineno) from None
-    if parsed < minimum:
-        raise ProblemFileError(f"{key} must be at least {minimum}, got {parsed}", origin, lineno)
-    return parsed
+        what = "an integer" if cast is int else "a real number"
+        raise _FieldError(key, f"{key} must be {what}, got {text!r}") from None
 
 
-def _float_value(value: str, key: str, origin: str, lineno: int) -> float:
+def _float_list(text: str, key: str) -> Tuple[float, ...]:
+    return tuple(_number(item.strip(), key) for item in text.split(","))
+
+
+def _expr_value(text: str, key: str, allowed: set) -> Expr:
     try:
-        parsed = float(value)
-    except ValueError:
-        raise ProblemFileError(f"{key} must be a real number, got {value!r}", origin, lineno) from None
-    if not math.isfinite(parsed):
-        raise ProblemFileError(f"{key} must be finite, got {value!r}", origin, lineno)
-    return parsed
-
-
-def _float_list(value: str, key: str, origin: str, lineno: int) -> Tuple[float, ...]:
-    return tuple(
-        _float_value(item.strip(), key, origin, lineno) for item in value.split(",")
-    )
-
-
-def _expr_value(entries, key: str, origin: str, allowed: frozenset) -> Expr:
-    value, lineno = _require(entries, key, origin)
-    try:
-        tree = parse_expression(value)
+        tree = parse_expression(text)
     except ExprSyntaxError as exc:
-        raise ProblemFileError(f"in {key}: {exc}", origin, lineno) from exc
+        raise _FieldError(key, f"in {key}: {exc}") from exc
     stray = variables(tree) - allowed
     if stray:
-        names = ", ".join(sorted(stray))
-        raise ProblemFileError(
+        raise _FieldError(
+            key,
             f"{key} may only use variable(s) {', '.join(sorted(allowed))}, "
-            f"but uses {names}",
-            origin,
-            lineno,
+            f"but uses {', '.join(sorted(stray))}",
         )
     return tree
 
 
 def parse_problem(text: str, origin: str = "<string>") -> ProblemSpec:
-    """Parse and validate problem-file text."""
+    """Parse problem-file text into a ProblemSpec, which validates it.
+
+    Errors carry the line of the key they concern, or say which key is
+    missing.
+    """
     entries = _scan(text, origin)
 
-    kind, kind_line = _require(entries, "kind", origin)
-    if kind not in ("fredholm", "volterra"):
-        raise ProblemFileError(
-            f"kind must be 'fredholm' or 'volterra', got {kind!r}", origin, kind_line
-        )
-    scalar_key = "lambda" if kind == "fredholm" else "beta"
-    wrong_key = "beta" if kind == "fredholm" else "lambda"
-    if wrong_key in entries:
-        raise ProblemFileError(
-            f"key {wrong_key!r} does not apply to kind={kind}; use {scalar_key!r}",
-            origin,
-            entries[wrong_key][1],
-        )
-    scalar_text, scalar_line = _require(entries, scalar_key, origin)
-    scalar = _float_value(scalar_text, scalar_key, origin, scalar_line)
+    def value(key, convert, *args):
+        if key not in entries:
+            raise ProblemFileError(f"missing required key {key!r}", origin)
+        return convert(entries[key][0], key, *args)
 
-    kernel = _expr_value(entries, "kernel", origin, frozenset({"t", "s"}))
-    forcing = _expr_value(entries, "f", origin, frozenset({"t"}))
-    m = _int_value(entries, "m", origin, minimum=0)
-    n = _int_value(entries, "n", origin, minimum=0)
-    r = _int_value(entries, "r", origin, minimum=1)
-    q = _int_value(entries, "q", origin, minimum=1)
-
-    expected_ics = max(m, n)
-    if "ics" in entries:
-        ics_text, ics_line = entries["ics"]
-        ics = _float_list(ics_text, "ics", origin, ics_line)
-        if len(ics) != expected_ics:
-            raise ProblemFileError(
-                f"ics lists {len(ics)} value(s) but derivative orders "
-                f"m={m}, n={n} require {_ics_requirement(m, n)}",
-                origin,
-                ics_line,
-            )
-    else:
-        ics = ()
-        if expected_ics:
-            raise ProblemFileError(
-                f"missing key 'ics': derivative orders m={m}, n={n} require "
-                f"{_ics_requirement(m, n)}",
-                origin,
-            )
-
-    exact = None
-    if "exact" in entries:
-        exact = _expr_value(entries, "exact", origin, frozenset({"t"}))
-
-    grid = DEFAULT_GRID
-    if "grid" in entries:
-        grid_text, grid_line = entries["grid"]
-        grid = _float_list(grid_text, "grid", origin, grid_line)
-        for point in grid:
-            if not 0.0 <= point < 1.0:
-                raise ProblemFileError(
-                    f"grid points must lie in [0, 1), got {point}", origin, grid_line
+    try:
+        kind = value("kind", lambda text, key: text)
+        scalar_key = _scalar_key(kind)
+        for other in KINDS.values():
+            if other != scalar_key and other in entries:
+                raise _FieldError(
+                    other, f"key {other!r} does not apply to kind={kind}; use {scalar_key!r}"
                 )
-
-    deriv_bound = None
-    if "M" in entries:
-        bound_text, bound_line = entries["M"]
-        deriv_bound = _float_value(bound_text, "M", origin, bound_line)
-        if deriv_bound < 0.0:
-            raise ProblemFileError(
-                f"M must be nonnegative, got {deriv_bound}", origin, bound_line
-            )
-
-    return ProblemSpec(
-        kind=kind,
-        scalar=scalar,
-        kernel=kernel,
-        forcing=forcing,
-        m=m,
-        n=n,
-        initial_conditions=ics,
-        r=r,
-        q=q,
-        exact=exact,
-        grid=grid,
-        deriv_bound=deriv_bound,
-        origin=origin,
-    )
+        return ProblemSpec(
+            kind=kind,
+            scalar=value(scalar_key, _number),
+            kernel=value("kernel", _expr_value, {"t", "s"}),
+            forcing=value("f", _expr_value, {"t"}),
+            m=value("m", _number, int),
+            n=value("n", _number, int),
+            r=value("r", _number, int),
+            q=value("q", _number, int),
+            initial_conditions=value("ics", _float_list) if "ics" in entries else (),
+            exact=value("exact", _expr_value, {"t"}) if "exact" in entries else None,
+            grid=value("grid", _float_list) if "grid" in entries else DEFAULT_GRID,
+            deriv_bound=value("M", _number) if "M" in entries else None,
+            origin=origin,
+        )
+    except _FieldError as exc:
+        if exc.key not in entries:
+            raise ProblemFileError(f"missing key {exc.key!r}: {exc}", origin) from None
+        raise ProblemFileError(str(exc), origin, entries[exc.key][1]) from None
 
 
 def load_problem(path) -> ProblemSpec:
@@ -309,7 +262,7 @@ class RunOutput:
 
 def run(spec: ProblemSpec, tol: float = 1e-12, max_iter: int = 100) -> RunOutput:
     """Assemble, solve and tabulate one problem."""
-    config = BasisConfig(q=spec.q, r=spec.r, quad_points=max(24, spec.r))
+    config = BasisConfig(q=spec.q, r=spec.r)
     try:
         system = assemble(
             config,
@@ -380,10 +333,9 @@ def format_report(output: RunOutput) -> str:
     """Render a human-readable run summary."""
     spec = output.spec
     report = output.report
-    scalar_key = "lambda" if spec.kind == "fredholm" else "beta"
     lines = [
         f"problem: {spec.origin}",
-        f"kind: {spec.kind} ({scalar_key} = {spec.scalar:g}, m = {spec.m}, n = {spec.n})",
+        f"kind: {spec.kind} ({KINDS[spec.kind]} = {spec.scalar:g}, m = {spec.m}, n = {spec.n})",
         f"basis: r = {spec.r}, q = {spec.q} (dimension {output.config.dim})",
         f"converged: {'yes' if report.converged else 'no'}",
         f"iterations: {report.iterations}",

@@ -16,8 +16,6 @@ from typing import Tuple
 
 from .problems import RunOutput, parse_problem, run
 
-GRID = tuple(i / 10 for i in range(10))
-
 _FREDHOLM_TEXT = """\
 # Exponential kernel over the whole interval; exact solution exp(t).
 kind = fredholm
@@ -180,12 +178,10 @@ def _deviation_check(
     )
 
 
-def run_case(
-    case: ReferenceCase, tol: float = 1e-12, max_iter: int = 100
-) -> Tuple[RunOutput, Tuple[CheckResult, ...]]:
+def run_case(case: ReferenceCase) -> Tuple[RunOutput, Tuple[CheckResult, ...]]:
     """Solve one reference case and compare it with its published data."""
     spec = parse_problem(case.problem_text, origin=case.name)
-    output = run(spec, tol=tol, max_iter=max_iter)
+    output = run(spec)
     report = output.report
 
     checks = [
@@ -225,10 +221,10 @@ def run_case(
     return output, tuple(checks)
 
 
-def run_all(tol: float = 1e-12, max_iter: int = 100) -> Tuple[CheckResult, ...]:
+def run_all() -> Tuple[CheckResult, ...]:
     """Run every reference case and collect every check."""
     results = []
     for case in CASES:
-        _, checks = run_case(case, tol=tol, max_iter=max_iter)
+        _, checks = run_case(case)
         results.extend(checks)
     return tuple(results)

@@ -166,6 +166,42 @@ def test_spec_validation_on_direct_construction():
         dataclasses.replace(spec, initial_conditions=())
 
 
+@pytest.mark.parametrize(
+    "field, value, fragment",
+    [
+        ("deriv_bound", -1.0, "M must be finite and nonnegative, got -1.0"),
+        ("scalar", math.nan, "beta must be finite, got nan"),
+        ("initial_conditions", (math.inf,), "ics must be finite, got inf"),
+    ],
+)
+def test_spec_rejects_what_the_file_rejects(field, value, fragment):
+    # a spec built by replace is held to the file's rules, under the file's key
+    import dataclasses
+
+    spec = parse_problem(VOLTERRA_TEXT)
+    with pytest.raises(ValueError, match=fragment):
+        dataclasses.replace(spec, **{field: value})
+
+
+@pytest.mark.parametrize(
+    "old, new, fragment, line",
+    [
+        ("m = 0", "m = -1", "m must be at least 0, got -1", 6),
+        ("n = 1", "n = -1", "n must be at least 0, got -1", 7),
+        ("r = 2", "r = 0", "r must be at least 1, got 0", 9),
+        ("q = 1", "q = 0", "q must be at least 1, got 0", 10),
+        ("ics = 1", "ics = 1, 2", "ics lists 2 value(s)", 8),
+        ("exact = exp(t)", "exact = exp(t)\ngrid = 0.5, 1.0", "grid points must lie", 12),
+        ("exact = exp(t)", "exact = exp(t)\nM = -1", "M must be finite and nonnegative", 12),
+        ("lambda = 1", "lambda = inf", "lambda must be finite, got inf", 3),
+    ],
+    ids=["m", "n", "r", "q", "ics", "grid", "M", "lambda"],
+)
+def test_field_error_names_its_line(old, new, fragment, line):
+    err = _expect_error(FREDHOLM_TEXT.replace(old, new), fragment, line=line)
+    assert str(err).startswith(f"bad.prob:{line}: ")
+
+
 def test_load_problem_uses_path_as_origin(tmp_path):
     path = tmp_path / "sample.prob"
     path.write_text(VOLTERRA_TEXT)
