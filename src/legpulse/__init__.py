@@ -27,7 +27,7 @@ from .exprlang import (
     to_string,
     variables,
 )
-from .lift import InitialConditions, lift, project_initial
+from .lift import lift, project_initial
 from .opmatrices import (
     build_J,
     build_L,
@@ -71,7 +71,6 @@ __all__ = [
     "ExprEvalError",
     "ExprSyntaxError",
     "GridRow",
-    "InitialConditions",
     "ProblemFileError",
     "ProblemSpec",
     "ReferenceCase",

@@ -18,7 +18,6 @@ Two subcommands:
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 from dataclasses import replace
 from typing import Optional, Sequence
@@ -91,16 +90,11 @@ def _cmd_solve(args: argparse.Namespace) -> int:
             overrides["grid"] = tuple(i / args.grid_size for i in range(args.grid_size))
         if overrides:
             spec = replace(spec, **overrides)
-        if not (math.isfinite(args.tol) and args.tol > 0.0):
-            raise ValueError(f"--tol must be finite and positive, got {args.tol}")
-        if args.max_iter < 1:
-            raise ValueError(f"--max-iter must be at least 1, got {args.max_iter}")
+        # solve's check of tol and max_iter is the only ValueError run lets out
+        output = run(spec, tol=args.tol, max_iter=args.max_iter)
     except ValueError as exc:
         print(str(exc), file=sys.stderr)
         return 2
-
-    try:
-        output = run(spec, tol=args.tol, max_iter=args.max_iter)
     except RunFailure as exc:
         print(str(exc), file=sys.stderr)
         return 1

@@ -1,36 +1,22 @@
 """Derivative lift: coefficients of y^(n) from the coefficients of y.
 
 Writing Y0^(i) for the projection of the constant y^(i)(0), the lift is the
-recursion Y^(i+1) = J (Y^(i) - Y0^(i)) with J the inverse transpose of the
-integration matrix; unrolled it reads J^n Y - sum_{k=1..n} J^k Y0^(n-k).
-lift applies it to one vector; lift_map forms the dense power J^n with
-matrix_power, which each assembled system keeps in its lifts' affine map.
+recursion Y^(i+1) = J (Y^(i) - Y0^(i)) with J = build_J(config), the inverse
+transpose of the integration matrix; unrolled it reads
+J^n Y - sum_{k=1..n} J^k Y0^(n-k).  The initial conditions are a plain
+sequence of floats a_i = y^(i)(0).  lift applies the recursion to one
+vector; lift_map forms the dense power J^n with matrix_power, which each
+assembled system keeps in its lifts' affine map.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .basis import BasisConfig
-
-
-@dataclass
-class InitialConditions:
-    """Values a_i = y^(i)(0), i = 0 .. l, attached to a basis config."""
-
-    values: Sequence[float]
-    config: BasisConfig
-
-    def __post_init__(self):
-        self.values = tuple(float(a) for a in self.values)
-        if not all(np.isfinite(v) for v in self.values):
-            raise ValueError(f"initial conditions must be finite, got {self.values}")
-
-    def __len__(self) -> int:
-        return len(self.values)
+from .opmatrices import build_J
 
 
 def project_initial(a: float, config: BasisConfig) -> np.ndarray:
@@ -41,15 +27,15 @@ def project_initial(a: float, config: BasisConfig) -> np.ndarray:
     return coeffs
 
 
-def lift(y: np.ndarray, n: int, ics: InitialConditions, J: np.ndarray) -> np.ndarray:
+def lift(y: np.ndarray, n: int, ics: Sequence[float], config: BasisConfig) -> np.ndarray:
     """Coefficients of the n-th derivative of the function with coefficients y.
 
-    y is one (dim,) coefficient vector, and so is the result.  Needs the
-    first n initial conditions; n = 0 returns y unchanged.
+    y is one (config.dim,) coefficient vector, and so is the result.  Needs
+    the first n initial conditions; n = 0 returns y unchanged.
     """
-    if y.shape != (ics.config.dim,):
+    if y.shape != (config.dim,):
         raise ValueError(
-            f"coefficient vector must have length {ics.config.dim}, got shape {y.shape}"
+            f"coefficient vector must have length {config.dim}, got shape {y.shape}"
         )
     if n < 0:
         raise ValueError(f"derivative order must be >= 0, got {n}")
@@ -57,16 +43,17 @@ def lift(y: np.ndarray, n: int, ics: InitialConditions, J: np.ndarray) -> np.nda
         raise ValueError(
             f"lifting to order {n} needs {n} initial conditions, got {len(ics)}"
         )
-    for a in ics.values[:n]:
+    J = build_J(config)
+    for a in ics[:n]:
         # subtract the projected constant a, which lives in the order-0 slots
         shifted = y.copy()
-        shifted[:: ics.config.r] -= a
+        shifted[:: config.r] -= a
         y = J @ shifted
     return y
 
 
-def lift_map(n: int, ics: InitialConditions, J: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def lift_map(n: int, ics: Sequence[float], config: BasisConfig) -> tuple[np.ndarray, np.ndarray]:
     """The n-th lift as the affine map y -> J^n y + b: J^n, a (dim, dim)
     array, and b, the lift of the zero vector, a (dim,) array.  J^n is also
     the derivative of the lift at every y."""
-    return np.linalg.matrix_power(J, n), lift(np.zeros(ics.config.dim), n, ics, J)
+    return np.linalg.matrix_power(build_J(config), n), lift(np.zeros(config.dim), n, ics, config)

@@ -32,7 +32,17 @@ from .exprlang import (
     parse_expression,
     variables,
 )
-from .solver import KINDS, assemble, derivative_max, error_bound, solve, SolveReport
+from .solver import (
+    KINDS,
+    FieldError,
+    SolveReport,
+    assemble,
+    check_problem,
+    derivative_max,
+    error_bound,
+    scalar_key,
+    solve,
+)
 
 _KNOWN_KEYS = (
     "kind",
@@ -71,29 +81,14 @@ class RunFailure(RuntimeError):
     """A problem that could not be assembled or evaluated."""
 
 
-class _FieldError(ValueError):
-    """A bad value, with the problem-file key it belongs to."""
-
-    def __init__(self, key: str, message: str):
-        super().__init__(message)
-        self.key = key
-
-
-def _scalar_key(kind: str) -> str:
-    """The problem-file key of kind's scalar, lambda or beta."""
-    try:
-        return KINDS[kind]
-    except KeyError:
-        raise _FieldError("kind", f"kind must be 'fredholm' or 'volterra', got {kind!r}") from None
-
-
 @dataclass(frozen=True)
 class ProblemSpec:
     """A validated problem, ready to run.
 
-    Every field is checked here, and a bad one raises a ValueError that
+    Every field is checked here, and a bad one raises a FieldError that
     names its problem-file key, so a spec built by dataclasses.replace is
-    held to the same rules as one parsed from a file.
+    held to the same rules as one parsed from a file.  The kind, scalar,
+    orders and ics go through solver.check_problem, as they do in assemble.
     """
 
     kind: str
@@ -111,30 +106,17 @@ class ProblemSpec:
     origin: str = "<string>"
 
     def __post_init__(self):
-        scalar_key = _scalar_key(self.kind)
-        if not math.isfinite(self.scalar):
-            raise _FieldError(scalar_key, f"{scalar_key} must be finite, got {self.scalar}")
-        for key, least in (("m", 0), ("n", 0), ("r", 1), ("q", 1)):
+        check_problem(self.kind, self.scalar, self.m, self.n, self.initial_conditions)
+        for key in ("r", "q"):
             value = getattr(self, key)
-            if value < least:
-                raise _FieldError(key, f"{key} must be at least {least}, got {value}")
-        ics, count = self.initial_conditions, max(self.m, self.n)
-        if len(ics) != count:
-            need = f"exactly the {count} value(s) y(0) .. y^({count - 1})(0)" if count else "none"
-            raise _FieldError(
-                "ics",
-                f"ics lists {len(ics)} value(s) but derivative orders "
-                f"m={self.m}, n={self.n} require {need}",
-            )
-        for value in ics:
-            if not math.isfinite(value):
-                raise _FieldError("ics", f"ics must be finite, got {value}")
+            if value < 1:
+                raise FieldError(key, f"{key} must be at least 1, got {value}")
         for point in self.grid:
             if not 0.0 <= point < 1.0:
-                raise _FieldError("grid", f"grid points must lie in [0, 1), got {point}")
+                raise FieldError("grid", f"grid points must lie in [0, 1), got {point}")
         bound = self.deriv_bound
         if bound is not None and not (math.isfinite(bound) and bound >= 0.0):
-            raise _FieldError("M", f"M must be finite and nonnegative, got {bound}")
+            raise FieldError("M", f"M must be finite and nonnegative, got {bound}")
 
 
 def _scan(text: str, origin: str) -> Dict[str, Tuple[str, int]]:
@@ -163,7 +145,7 @@ def _number(text: str, key: str, cast: type = float):
         return cast(text)
     except ValueError:
         what = "an integer" if cast is int else "a real number"
-        raise _FieldError(key, f"{key} must be {what}, got {text!r}") from None
+        raise FieldError(key, f"{key} must be {what}, got {text!r}") from None
 
 
 def _float_list(text: str, key: str) -> Tuple[float, ...]:
@@ -174,10 +156,10 @@ def _expr_value(text: str, key: str, allowed: set) -> Expr:
     try:
         tree = parse_expression(text)
     except ExprSyntaxError as exc:
-        raise _FieldError(key, f"in {key}: {exc}") from exc
+        raise FieldError(key, f"in {key}: {exc}") from exc
     stray = variables(tree) - allowed
     if stray:
-        raise _FieldError(
+        raise FieldError(
             key,
             f"{key} may only use variable(s) {', '.join(sorted(allowed))}, "
             f"but uses {', '.join(sorted(stray))}",
@@ -200,15 +182,15 @@ def parse_problem(text: str, origin: str = "<string>") -> ProblemSpec:
 
     try:
         kind = value("kind", lambda text, key: text)
-        scalar_key = _scalar_key(kind)
+        scalar_name = scalar_key(kind)
         for other in KINDS.values():
-            if other != scalar_key and other in entries:
-                raise _FieldError(
-                    other, f"key {other!r} does not apply to kind={kind}; use {scalar_key!r}"
+            if other != scalar_name and other in entries:
+                raise FieldError(
+                    other, f"key {other!r} does not apply to kind={kind}; use {scalar_name!r}"
                 )
         return ProblemSpec(
             kind=kind,
-            scalar=value(scalar_key, _number),
+            scalar=value(scalar_name, _number),
             kernel=value("kernel", _expr_value, {"t", "s"}),
             forcing=value("f", _expr_value, {"t"}),
             m=value("m", _number, int),
@@ -221,7 +203,7 @@ def parse_problem(text: str, origin: str = "<string>") -> ProblemSpec:
             deriv_bound=value("M", _number) if "M" in entries else None,
             origin=origin,
         )
-    except _FieldError as exc:
+    except FieldError as exc:
         if exc.key not in entries:
             raise ProblemFileError(f"missing key {exc.key!r}: {exc}", origin) from None
         raise ProblemFileError(str(exc), origin, entries[exc.key][1]) from None

@@ -3,8 +3,8 @@
 A problem y(t) + scalar * I[y](t) = f(t), with I the Fredholm or Volterra
 integral of k(t,s) * y^(m)(s) * y^(n)(s), turns into a nonlinear algebraic
 system for the hybrid coefficient vector Y once every ingredient is
-projected onto the basis.  This module assembles that system, evaluates
-its residual, and solves it.
+projected onto the basis.  This module checks the problem's data,
+assembles that system, evaluates its residual, and solves it.
 
 Both kinds share one integral core.  With D = C~_u C~_v the block-diagonal
 product of the coefficient matrices of the lifts u and v, the integral is
@@ -23,9 +23,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .basis import BasisConfig, project_function, project_kernel
-from .lift import InitialConditions, lift, lift_map
+from .lift import lift, lift_map
 from .opmatrices import (
-    build_J,
     build_P,
     build_product_tensor,
     build_triple_tensor,
@@ -48,24 +47,67 @@ _STEP = 1e-2
 _SAMPLES = 1001
 
 
+class FieldError(ValueError):
+    """A bad problem value, with the problem-file key it belongs to."""
+
+    def __init__(self, key: str, message: str):
+        super().__init__(message)
+        self.key = key
+
+
+def scalar_key(kind: str) -> str:
+    """The problem-file key of kind's scalar, lambda or beta."""
+    try:
+        return KINDS[kind]
+    except KeyError:
+        raise FieldError("kind", f"kind must be 'fredholm' or 'volterra', got {kind!r}") from None
+
+
+def check_problem(kind: str, scalar: float, m: int, n: int, ics: Sequence[float]) -> None:
+    """Check what every problem needs, from a file or from a call: a known
+    kind, a finite scalar, orders m, n >= 0 and exactly max(m, n) finite
+    initial conditions.  A bad value raises a FieldError under its key."""
+    key = scalar_key(kind)
+    if not math.isfinite(scalar):
+        raise FieldError(key, f"{key} must be finite, got {scalar}")
+    for name, order in (("m", m), ("n", n)):
+        if order < 0:
+            raise FieldError(name, f"{name} must be at least 0, got {order}")
+    count = max(m, n)
+    if len(ics) != count:
+        need = (
+            f"exactly the {count} initial condition(s) y(0) .. y^({count - 1})(0)"
+            if count
+            else "no initial conditions"
+        )
+        raise FieldError(
+            "ics", f"ics lists {len(ics)} value(s) but derivative orders m={m}, n={n} require {need}"
+        )
+    for value in ics:
+        if not math.isfinite(value):
+            raise FieldError("ics", f"ics must be finite, got {value}")
+
+
 @dataclass
 class AssembledSystem:
     """Projected data of one integro-differential problem.
 
     kind is "fredholm" (integral over the whole interval) or "volterra"
     (integral from 0 to t); scalar multiplies the integral term; m and n
-    are the derivative orders inside the integrand.  kernel is a
-    (dim, dim) array and forcing a (dim,) array, both for config.
+    are the derivative orders inside the integrand, and ics holds the
+    max(m, n) initial conditions y(0) .. y^(max(m, n)-1)(0), all checked by
+    check_problem.  kernel is a (dim, dim) array and forcing a (dim,)
+    array, both for config.
 
     Everything else is built here, once, from those fields: the (r, r, r)
-    triple tensor and the (dim, dim) lift matrix J, shared read-only with
-    every other system of the same config; the split of the kernel that the
-    integral core reads, C, the (dim, dim) carried kernel (kernel itself for
-    Fredholm), diagonal, the (q, r, r) diagonal blocks of the kernel for
-    Volterra and None for Fredholm, and E, the (r, r) diagonal block of the
-    integration matrix; and the m-th and n-th lifts as one affine map
-    y -> A y + a, grouped by block: A[k, :r] and A[k, r:] are the rows of
-    J^m and J^n for block k, shape (q, 2r, dim), and a, shape (q, 2r), holds
+    triple tensor, shared read-only with every other system of the same
+    config; the split of the kernel that the integral core reads, C, the
+    (dim, dim) carried kernel (kernel itself for Fredholm), diagonal, the
+    (q, r, r) diagonal blocks of the kernel for Volterra and None for
+    Fredholm, and E, the (r, r) diagonal block of the integration matrix;
+    and the m-th and n-th lifts as one affine map y -> A y + a, from
+    lift_map, grouped by block: A[k, :r] and A[k, r:] are the rows of J^m
+    and J^n for block k, shape (q, 2r, dim), and a, shape (q, 2r), holds
     the lifts of the zero vector in the same layout.  Z0 and W (None for
     Fredholm) are the Hessians in w_k = (u_k, v_k), as _hessian describes, of
     D_k e0 = sum_{j,l} u_kj v_kl Z[j, l, :, 0], Z the product tensor, and of
@@ -79,9 +121,8 @@ class AssembledSystem:
     forcing: np.ndarray
     m: int
     n: int
-    ics: InitialConditions
+    ics: tuple[float, ...]
     tensor: np.ndarray = field(init=False, repr=False)
-    J: np.ndarray = field(init=False, repr=False)
     C: np.ndarray = field(init=False, repr=False)
     diagonal: np.ndarray | None = field(init=False, repr=False)
     E: np.ndarray = field(init=False, repr=False)
@@ -91,32 +132,17 @@ class AssembledSystem:
     W: np.ndarray | None = field(init=False, repr=False)
 
     def __post_init__(self):
-        if self.kind not in KINDS:
-            raise ValueError(f"kind must be one of {tuple(KINDS)}, got {self.kind!r}")
-        if not np.isfinite(self.scalar):
-            raise ValueError(f"scalar must be finite, got {self.scalar}")
-        if self.m < 0 or self.n < 0:
-            raise ValueError(
-                f"derivative orders must be nonnegative, got m={self.m}, n={self.n}"
-            )
-        needed = max(self.m, self.n)
-        if len(self.ics) < needed:
-            raise ValueError(
-                f"derivative orders m={self.m}, n={self.n} require "
-                f"{needed} initial condition(s), got {len(self.ics)}"
-            )
+        check_problem(self.kind, self.scalar, self.m, self.n, self.ics)
         dim, r, q = self.config.dim, self.config.r, self.config.q
         built_for = {
             "kernel": (self.kernel.shape, (dim, dim)),
             "forcing": (self.forcing.shape, (dim,)),
-            "ics": (self.ics.config, self.config),
         }
         for label, (got, want) in built_for.items():
             if got != want:
                 raise ValueError(f"{label} was built for {got}, but {self.config} needs {want}")
         self.tensor = build_triple_tensor(self.config)
-        self.J = build_J(self.config)
-        maps = [lift_map(k, self.ics, self.J) for k in (self.m, self.n)]
+        maps = [lift_map(k, self.ics, self.config) for k in (self.m, self.n)]
         self.A = np.concatenate([A.reshape(q, r, dim) for A, _ in maps], axis=1)
         self.a = np.concatenate([a.reshape(q, r) for _, a in maps], axis=1)
         self.E = build_P(self.config)[:r, :r]
@@ -179,7 +205,7 @@ def assemble(
         forcing=project_function(config, forcing),
         m=int(m),
         n=int(n),
-        ics=InitialConditions(tuple(ics), config),
+        ics=tuple(float(a) for a in ics),
     )
 
 
@@ -198,8 +224,8 @@ def residual(system: AssembledSystem, y: np.ndarray) -> np.ndarray:
     """
     y = np.asarray(y, dtype=float)
     with np.errstate(over="ignore", invalid="ignore"):
-        u = lift(y, system.m, system.ics, system.J)
-        v = lift(y, system.n, system.ics, system.J)
+        u = lift(y, system.m, system.ics, system.config)
+        v = lift(y, system.n, system.ics, system.config)
         d = coeff_matrix(u, system.tensor) @ coeff_matrix(v, system.tensor)
         integral = system.C @ d[..., 0].ravel() / system.config.q
         if system.diagonal is not None:

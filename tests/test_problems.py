@@ -1,10 +1,12 @@
 """Problem files: parsing diagnostics, runs, CSV output and the CLI."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+from legpulse.basis import BasisConfig
 from legpulse.cli import main
 from legpulse.problems import (
     DEFAULT_GRID,
@@ -18,6 +20,7 @@ from legpulse.problems import (
     run,
     write_csv,
 )
+from legpulse.solver import assemble
 
 E = math.e
 
@@ -156,8 +159,6 @@ def test_negative_bound_rejected():
 
 def test_spec_validation_on_direct_construction():
     spec = parse_problem(VOLTERRA_TEXT)
-    import dataclasses
-
     with pytest.raises(ValueError):
         dataclasses.replace(spec, r=0)
     with pytest.raises(ValueError):
@@ -176,11 +177,44 @@ def test_spec_validation_on_direct_construction():
 )
 def test_spec_rejects_what_the_file_rejects(field, value, fragment):
     # a spec built by replace is held to the file's rules, under the file's key
-    import dataclasses
-
     spec = parse_problem(VOLTERRA_TEXT)
     with pytest.raises(ValueError, match=fragment):
         dataclasses.replace(spec, **{field: value})
+
+
+@pytest.mark.parametrize(
+    "field, value, fragment",
+    [
+        ("kind", "hammerstein", "kind must be 'fredholm' or 'volterra', got 'hammerstein'"),
+        ("scalar", math.nan, "lambda must be finite, got nan"),
+        ("m", -1, "m must be at least 0, got -1"),
+        ("n", -1, "n must be at least 0, got -1"),
+        ("ics", (), "ics lists 0 value(s)"),
+        ("ics", (1.0, 2.0), "ics lists 2 value(s)"),
+        ("ics", (math.inf,), "ics must be finite, got inf"),
+    ],
+    ids=["kind", "scalar", "m", "n", "too-few-ics", "too-many-ics", "ics-inf"],
+)
+def test_assemble_and_spec_reject_alike(field, value, fragment):
+    # one rulebook: assemble and a spec built by replace say the same thing
+    spec = parse_problem(FREDHOLM_TEXT)
+    args = {"kind": "fredholm", "scalar": 1.0, "m": 0, "n": 1, "ics": (1.0,), field: value}
+    with pytest.raises(ValueError) as from_assemble:
+        assemble(
+            BasisConfig(q=1, r=2),
+            args["kind"],
+            args["scalar"],
+            lambda t, s: np.exp(t - s),
+            lambda t: np.exp(t + 1.0),
+            args["m"],
+            args["n"],
+            args["ics"],
+        )
+    spec_field = "initial_conditions" if field == "ics" else field
+    with pytest.raises(ValueError) as from_spec:
+        dataclasses.replace(spec, **{spec_field: value})
+    assert str(from_assemble.value) == str(from_spec.value)
+    assert fragment in str(from_spec.value)
 
 
 @pytest.mark.parametrize(
@@ -343,6 +377,8 @@ def test_cli_rejects_bad_overrides(tmp_path, capsys):
     for tol in ("-1", "nan", "inf"):
         assert main(["solve", str(problem), "--tol", tol]) == 2
     capsys.readouterr()
+    assert main(["solve", str(problem), "--max-iter", "0"]) == 2
+    assert capsys.readouterr().err == "max_iter must be at least 1, got 0\n"
 
 
 def test_cli_reports_non_convergence(tmp_path, capsys):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from legpulse.basis import BasisConfig, project_function, reconstruct
-from legpulse.opmatrices import build_L, build_P
+from legpulse.opmatrices import build_J, build_L, build_P
 from legpulse.solver import (
     _jacobian,
     assemble,
@@ -147,8 +147,6 @@ def test_config_mismatch_between_pieces_rejected():
         dataclasses.replace(good, kernel=other.kernel)
     with pytest.raises(ValueError, match="init=False"):
         dataclasses.replace(good, tensor=other.tensor)
-    with pytest.raises(ValueError, match="ics was built for"):
-        dataclasses.replace(good, ics=other.ics)
 
 
 def test_kernel_split_follows_kernel_and_kind():
@@ -304,10 +302,10 @@ def _dense_residual(system, y):
 
     def lifted(order):
         out = y
-        for a in system.ics.values[:order]:
+        for a in system.ics[:order]:
             y0 = np.zeros(cfg.dim)
             y0[::r] = a
-            out = system.J @ (out - y0)
+            out = build_J(cfg) @ (out - y0)
         return out
 
     def coeff(c):
