@@ -44,6 +44,11 @@ class BasisConfig:
         return max(24, self.r)
 
 
+# samples per kernel call in project_kernel: the most whole t-blocks whose float64
+# sample array stays under glibc's 128 KiB mmap threshold, so no call faults in pages
+_KERNEL_SAMPLES = 16_000
+
+
 @lru_cache(maxsize=None)
 def _projection_data(config: BasisConfig):
     """Per-block quadrature nodes, weights and Legendre values, cached.
@@ -118,26 +123,31 @@ def project_kernel(
     """L2 projection of a two-variable kernel g(t, s) onto the tensor basis,
     a (dim, dim) array.
 
-    g must be numpy-vectorized: it is called once, with t of shape
-    (q, quad_points, 1, 1) and s of shape (q, quad_points), the quadrature
-    nodes.  Entry (i, j) pairs basis function i in t with basis function j
-    in s, normalized like the 1-D projection in each variable; the integral
-    is a tensor-product Gauss rule over each block pair.  Raises ValueError
-    when g or the projection is not finite.
+    g must be numpy-vectorized: it is called on whole t-blocks, as many per
+    call as fit in _KERNEL_SAMPLES samples and at least one, in block order,
+    with t of shape (c, quad_points, 1, 1) and s of shape (q, quad_points),
+    the quadrature nodes.  Entry (i, j) pairs basis function i in t with
+    basis function j in s, normalized like the 1-D projection in each
+    variable; the integral is a tensor-product Gauss rule over each block
+    pair.  Raises ValueError when g or the projection is not finite.
     """
     ts, w, leg, scale = _projection_data(config)
-    gv = np.broadcast_to(np.asarray(g(ts[:, :, None, None], ts), dtype=float), ts.shape * 2)
-    if not np.all(np.isfinite(gv)):
-        k, a, l, b = np.argwhere(~np.isfinite(gv))[0]
-        raise ValueError(
-            f"kernel returned {float(gv[k, a, l, b])!r} at node "
-            f"(t={float(ts[k, a])!r}, s={float(ts[l, b])!r})"
-        )
     wleg = scale[:, None] * leg * w
-    # contract the t nodes of every block, then the s nodes
-    with np.errstate(over="ignore", invalid="ignore"):
-        half = (wleg @ gv.reshape(ts.shape + (ts.size,))).reshape((config.dim,) + ts.shape)
-        projected = (half @ wleg.T).reshape(config.dim, config.dim)
+    step = max(1, _KERNEL_SAMPLES // (ts.size * ts.shape[1]))
+    projected = np.empty((config.dim, config.dim))
+    for k0 in range(0, config.q, step):
+        t = ts[k0 : k0 + step]
+        gv = np.broadcast_to(np.asarray(g(t[:, :, None, None], ts), dtype=float), t.shape + ts.shape)
+        if not np.all(np.isfinite(gv)):
+            k, a, l, b = np.argwhere(~np.isfinite(gv))[0]
+            raise ValueError(
+                f"kernel returned {float(gv[k, a, l, b])!r} at node "
+                f"(t={float(t[k, a])!r}, s={float(ts[l, b])!r})"
+            )
+        # contract the t nodes of every block, then the s nodes
+        with np.errstate(over="ignore", invalid="ignore"):
+            half = (wleg @ gv.reshape(t.shape + (ts.size,))).reshape((-1,) + ts.shape)
+            projected[k0 * config.r : (k0 + step) * config.r] = (half @ wleg.T).reshape(-1, config.dim)
     return _require_finite(projected, "operator matrix")
 
 

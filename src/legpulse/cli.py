@@ -90,7 +90,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
             overrides["grid"] = tuple(i / args.grid_size for i in range(args.grid_size))
         if overrides:
             spec = replace(spec, **overrides)
-        # solve's check of tol and max_iter is the only ValueError run lets out
+        # run's check of tol and max_iter, made first, is the only ValueError it lets out
         output = run(spec, tol=args.tol, max_iter=args.max_iter)
     except ValueError as exc:
         print(str(exc), file=sys.stderr)

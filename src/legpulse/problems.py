@@ -38,6 +38,7 @@ from .solver import (
     SolveReport,
     assemble,
     check_problem,
+    check_stopping,
     derivative_max,
     error_bound,
     scalar_key,
@@ -243,7 +244,8 @@ class RunOutput:
 
 
 def run(spec: ProblemSpec, tol: float = 1e-12, max_iter: int = 100) -> RunOutput:
-    """Assemble, solve and tabulate one problem."""
+    """Check tol and max_iter, then assemble, solve and tabulate one problem."""
+    check_stopping(tol, max_iter)
     config = BasisConfig(q=spec.q, r=spec.r)
     try:
         system = assemble(

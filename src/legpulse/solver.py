@@ -192,20 +192,22 @@ def assemble(
     n: int,
     ics: Sequence[float] = (),
 ) -> AssembledSystem:
-    """Project the problem data and build every operator it needs.
+    """Check the problem, then project its data and build its operators.
 
     kernel and forcing must be numpy-vectorized, as project_kernel and
     project_function describe.
     """
+    scalar, m, n, ics = float(scalar), int(m), int(n), tuple(float(a) for a in ics)
+    check_problem(kind, scalar, m, n, ics)
     return AssembledSystem(
         config=config,
         kind=kind,
-        scalar=float(scalar),
+        scalar=scalar,
         kernel=project_kernel(config, kernel),
         forcing=project_function(config, forcing),
-        m=int(m),
-        n=int(n),
-        ics=tuple(float(a) for a in ics),
+        m=m,
+        n=n,
+        ics=ics,
     )
 
 
@@ -313,6 +315,14 @@ def _newton(
     )
 
 
+def check_stopping(tol: float, max_iter: int) -> None:
+    """Check solve's stopping rule: a finite tol > 0 and max_iter >= 1."""
+    if not (np.isfinite(tol) and tol > 0.0):
+        raise ValueError(f"tol must be finite and positive, got {tol}")
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be at least 1, got {max_iter}")
+
+
 def solve(system: AssembledSystem, tol: float = 1e-12, max_iter: int = 100) -> SolveReport:
     """Damped Newton on the residual, starting from Y = F.
 
@@ -322,10 +332,7 @@ def solve(system: AssembledSystem, tol: float = 1e-12, max_iter: int = 100) -> S
     rounding level in Y, as _newton describes.  Raises FloatingPointError
     when the residual at Y = F overflows or is otherwise not finite.
     """
-    if not (np.isfinite(tol) and tol > 0.0):
-        raise ValueError(f"tol must be finite and positive, got {tol}")
-    if max_iter < 1:
-        raise ValueError(f"max_iter must be at least 1, got {max_iter}")
+    check_stopping(tol, max_iter)
     return _newton(system, system.forcing, tol, max_iter)
 
 

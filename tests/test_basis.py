@@ -1,6 +1,7 @@
 """Hybrid basis evaluation and projections against published and closed-form data."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -8,7 +9,9 @@ from hypothesis import given, settings, strategies as st
 from numpy.polynomial.legendre import leggauss, legvander
 
 from legpulse.basis import (
+    _KERNEL_SAMPLES,
     BasisConfig,
+    _projection_data,
     block_of,
     eval_basis,
     project_function,
@@ -155,6 +158,60 @@ def test_projections_match_blockwise_reference():
     for k, ts in enumerate(nodes):
         expected = scale * (wleg @ np.exp(ts + 1.0))
         np.testing.assert_allclose(F[k * r : (k + 1) * r], expected, rtol=0, atol=1e-14)
+
+
+def _one_shot_kernel(cfg, g):
+    # the whole (q*Q)^2 grid in one kernel call and one contraction, the way
+    # project_kernel computed it before it was split into chunks of t-blocks
+    ts, w, leg, scale = _projection_data(cfg)
+    gv = np.broadcast_to(np.asarray(g(ts[:, :, None, None], ts), dtype=float), ts.shape * 2)
+    wleg = scale[:, None] * leg * w
+    half = (wleg @ gv.reshape(ts.shape + (ts.size,))).reshape((cfg.dim,) + ts.shape)
+    return (half @ wleg.T).reshape(cfg.dim, cfg.dim)
+
+
+# one chunk, several equal chunks, a ragged last chunk, one block over the
+# budget per chunk, and a Gauss size above 24
+CHUNK_SHAPES = [(2, 1), (3, 4), (12, 4), (3, 12), (3, 13), (8, 64), (30, 2)]
+
+
+@pytest.mark.parametrize("r, q", CHUNK_SHAPES)
+def test_kernel_projection_in_chunks_equals_one_shot(r, q):
+    cfg = BasisConfig(q=q, r=r)
+    for g in (lambda t, s: np.exp(t - s), lambda t, s: np.sin(t - s)):
+        np.testing.assert_array_equal(project_kernel(cfg, g), _one_shot_kernel(cfg, g))
+
+
+@pytest.mark.parametrize("r, q", CHUNK_SHAPES)
+def test_kernel_is_called_on_whole_t_blocks_within_the_budget(r, q):
+    cfg = BasisConfig(q=q, r=r)
+    ts = _projection_data(cfg)[0]
+    Q = cfg.quad_points
+    calls = []
+
+    def recording(t, s):
+        calls.append(t[:, :, 0, 0])
+        assert t.shape[1:] == (Q, 1, 1)
+        np.testing.assert_array_equal(s, ts)
+        assert t.shape[0] * s.size * Q <= _KERNEL_SAMPLES or t.shape[0] == 1
+        return np.exp(t - s)
+
+    project_kernel(cfg, recording)
+    np.testing.assert_array_equal(np.concatenate(calls), ts)
+    if q * Q * q * Q <= _KERNEL_SAMPLES:
+        assert len(calls) == 1
+
+
+def test_kernel_projection_names_first_bad_node_of_a_later_chunk():
+    cfg = BasisConfig(q=12, r=3)
+    ts = _projection_data(cfg)[0]
+    g = lambda t, s: np.where(t > 0.9, np.inf, np.exp(t - s))  # noqa: E731
+    grid = np.broadcast_to(g(ts[:, :, None, None], ts), ts.shape * 2)
+    k, a, l, b = np.argwhere(~np.isfinite(grid))[0]
+    assert k >= _KERNEL_SAMPLES // (ts.size * cfg.quad_points)  # past the first chunk
+    message = f"kernel returned inf at node (t={float(ts[k, a])!r}, s={float(ts[l, b])!r})"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        project_kernel(cfg, g)
 
 
 def test_kernel_projection_reports_bad_kernel():

@@ -381,6 +381,15 @@ def test_cli_rejects_bad_overrides(tmp_path, capsys):
     assert capsys.readouterr().err == "max_iter must be at least 1, got 0\n"
 
 
+def test_cli_rejects_bad_tol_before_assembling(tmp_path, capsys):
+    # the kernel cannot be sampled on the diagonal nodes, where t == s, so
+    # the flag error shows only if it is raised before assembly
+    problem = tmp_path / "domain.prob"
+    problem.write_text(DOMAIN_ERROR_TEXT.format(kernel="log(t - s)", f="t").replace("q = 2", "q = 1"))
+    assert main(["solve", str(problem), "--tol", "-1"]) == 2
+    assert capsys.readouterr().err == "tol must be finite and positive, got -1.0\n"
+
+
 def test_cli_reports_non_convergence(tmp_path, capsys):
     problem = tmp_path / "fredholm.prob"
     problem.write_text(FREDHOLM_TEXT)

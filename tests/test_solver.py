@@ -56,6 +56,15 @@ def test_assemble_validates_kind_and_orders():
         assemble(cfg, "fredholm", 1.0, lambda t, s: 1.0, lambda t: 1.0, 0, 1, ())
 
 
+def test_assemble_checks_the_problem_before_sampling_anything():
+    def never_sampled(*args):
+        pytest.fail("assemble sampled the problem data before checking the problem")
+
+    cfg = BasisConfig(q=64, r=8)
+    with pytest.raises(ValueError, match="kind must be"):
+        assemble(cfg, "hammerstein", 1.0, never_sampled, never_sampled, 0, 0)
+
+
 def test_zero_scalar_fredholm_returns_forcing_unchanged():
     cfg = BasisConfig(q=2, r=3)
     system = assemble(
