@@ -112,8 +112,9 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 
     if not output.report.converged:
         print(
-            f"did not converge within {args.max_iter} iteration(s): "
-            f"residual max-norm {output.report.residual_norm:.3e} > {args.tol:g}",
+            f"did not converge: Newton stopped after {output.report.iterations} of at most "
+            f"{args.max_iter} iteration(s), residual max-norm "
+            f"{output.report.residual_norm:.3e} > {args.tol:g}",
             file=sys.stderr,
         )
         return 1

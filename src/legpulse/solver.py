@@ -38,6 +38,9 @@ KINDS = {"fredholm": "lambda", "volterra": "beta"}
 
 # budget for halving a Newton step that fails to reduce the residual
 _MAX_HALVINGS = 20
+# the exact line search's step is tried only when its model promises a
+# squared 2-norm below this share of the full step's
+_SEARCH_GAIN = 1.0 / 16.0
 # Newton stops, converged, once max|step| <= _STEP_ULPS * eps * max|y|: the
 # residual has reached its rounding floor and cannot be driven lower
 _STEP_ULPS = 64
@@ -262,18 +265,72 @@ def _jacobian(system: AssembledSystem, y: np.ndarray) -> np.ndarray:
         return tangent
 
 
+def _cubic_roots(c3: float, c2: float, c1: float, c0: float) -> list[float]:
+    """Real roots of c3 x^3 + c2 x^2 + c1 x + c0 in closed form: Cardano's
+    formula when there is one, the trigonometric one for three.  Raises
+    ArithmeticError or ValueError where that arithmetic breaks down: for
+    c3 = 0, a triple root, or coefficients whose powers overflow."""
+    shift = c2 / (3.0 * c3)
+    p = c1 / c3 - 3.0 * shift**2
+    q = 2.0 * shift**3 - shift * c1 / c3 + c0 / c3
+    disc = (q / 2.0) ** 2 + (p / 3.0) ** 3
+    if disc > 0.0:
+        w = -q / 2.0 - math.copysign(math.sqrt(disc), q)
+        w = math.copysign(abs(w) ** (1.0 / 3.0), w)
+        xs = [w - p / (3.0 * w)]
+    else:
+        m = 2.0 * math.sqrt(-p / 3.0)
+        theta = math.acos(min(1.0, max(-1.0, 3.0 * q / (p * m)))) / 3.0
+        xs = [m * math.cos(theta - 2.0 * math.pi * k / 3.0) for k in range(3)]
+    return [x - shift for x in xs]
+
+
+def _step_length(
+    res: np.ndarray, norm: float, full_res: np.ndarray, full_norm: float
+) -> float | None:
+    """The exact line search along a Newton step s: a length t, or None.
+
+    R is quadratic and J s = -R(y), so R(y + t s) = (1 - t) a + t^2 b for
+    a = R(y) and b = R(y + s), whose max-norms are norm and full_norm.  The
+    t in (0, 2] minimizing this model's squared 2-norm is 2 or a root of its
+    derivative, the cubic 2 b.b t^3 - 3 a.b t^2 + (a.a + 2 a.b) t - a.a.  It
+    is returned only when the model promises less than _SEARCH_GAIN times
+    the full step's b.b.  a and b are scaled by their largest entry, so
+    their dot products cannot overflow; a non-finite b, or a cubic that
+    _cubic_roots cannot solve, gives None.
+    """
+    if not math.isfinite(full_norm):
+        return None
+    scale = max(norm, full_norm)
+    a, b = res / scale, full_res / scale
+    aa, ab, bb = float(a @ a), float(a @ b), float(b @ b)
+
+    def model(t: float) -> float:
+        return (1.0 - t) ** 2 * aa + 2.0 * (1.0 - t) * t * t * ab + t**4 * bb
+
+    try:
+        roots = _cubic_roots(2.0 * bb, -3.0 * ab, aa + 2.0 * ab, -aa)
+    except (ArithmeticError, ValueError):
+        return None
+    best = min([t for t in roots if 0.0 < t <= 2.0] + [2.0], key=model)
+    return best if model(best) < _SEARCH_GAIN * bb else None
+
+
 def _newton(
     system: AssembledSystem, start: np.ndarray, tol: float, max_iter: int
 ) -> SolveReport:
-    """Damped Newton from start.
+    """Damped Newton from start, with an exact line search.
 
     Converged means the residual max-norm fell to tol, or the Newton step
     fell to rounding level, max|step| <= _STEP_ULPS * eps * max|y|.  The
     second test stops the iteration at the residual's rounding floor, which
-    can lie above a tight tol.  Each step is halved, at most _MAX_HALVINGS
-    times, until the residual decreases; the run stops unconverged when
-    that fails, when the Jacobian is singular or after max_iter steps.
-    Raises FloatingPointError when the residual at start is not finite.
+    can lie above a tight tol.  Each iteration evaluates the full step's
+    residual and, when _step_length offers a length, the residual there
+    too.  The candidate of the two with the lower max-norm is tried first,
+    then halved, at most _MAX_HALVINGS times, until the residual decreases.
+    The run stops unconverged when that fails, when the Jacobian is
+    singular or after max_iter steps.  Raises FloatingPointError when the
+    residual at start is not finite.
     """
     y = np.array(start, dtype=float)
     res = residual(system, y)
@@ -291,18 +348,25 @@ def _newton(
         if _inf_norm(step) <= step_floor * _inf_norm(y):
             converged = True
             break
-        # damping: halve the step until the residual actually decreases
-        scale = 1.0
+        scale, cand_res = 1.0, residual(system, y + step)
+        cand_norm = _inf_norm(cand_res)
+        length = _step_length(res, norm, cand_res, cand_norm)
+        if length is not None:
+            trial_res = residual(system, y + length * step)
+            trial_norm = _inf_norm(trial_res)
+            if trial_norm < cand_norm:
+                scale, cand_res, cand_norm = length, trial_res, trial_norm
+        # damping: halve that candidate until the residual actually decreases
         accepted = False
-        for _ in range(_MAX_HALVINGS + 1):
-            candidate = y + scale * step
-            cand_res = residual(system, candidate)
-            cand_norm = _inf_norm(cand_res)
+        for halvings in range(_MAX_HALVINGS + 1):
+            if halvings:
+                scale *= 0.5
+                cand_res = residual(system, y + scale * step)
+                cand_norm = _inf_norm(cand_res)
             if np.isfinite(cand_norm) and cand_norm < norm:
-                y, res, norm = candidate, cand_res, cand_norm
+                y, res, norm = y + scale * step, cand_res, cand_norm
                 accepted = True
                 break
-            scale *= 0.5
         if not accepted:
             break
         iterations += 1
@@ -324,13 +388,16 @@ def check_stopping(tol: float, max_iter: int) -> None:
 
 
 def solve(system: AssembledSystem, tol: float = 1e-12, max_iter: int = 100) -> SolveReport:
-    """Damped Newton on the residual, starting from Y = F.
+    """Damped Newton on the residual, starting from Y = F, with an exact
+    line search along each step.
 
     The forcing coefficients are the exact solution when the integral term
-    vanishes and a good predictor otherwise.  The report is converged when
-    the residual max-norm is at most tol, or when the Newton step fell to
-    rounding level in Y, as _newton describes.  Raises FloatingPointError
-    when the residual at Y = F overflows or is otherwise not finite.
+    vanishes and a good predictor otherwise; for a rank-1 kernel the root
+    lies on the first Newton line, where the line search usually lands in
+    one step.  The report is converged when the residual max-norm is at
+    most tol, or when the Newton step fell to rounding level in Y, as
+    _newton describes.  Raises FloatingPointError when the residual at
+    Y = F overflows or is otherwise not finite.
     """
     check_stopping(tol, max_iter)
     return _newton(system, system.forcing, tol, max_iter)

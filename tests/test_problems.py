@@ -8,6 +8,7 @@ import pytest
 
 from legpulse.basis import BasisConfig
 from legpulse.cli import main
+from legpulse.exprlang import evaluate
 from legpulse.problems import (
     DEFAULT_GRID,
     GridRow,
@@ -20,7 +21,7 @@ from legpulse.problems import (
     run,
     write_csv,
 )
-from legpulse.solver import assemble
+from legpulse.solver import _jacobian, assemble, residual
 
 E = math.e
 
@@ -391,12 +392,15 @@ def test_cli_rejects_bad_tol_before_assembling(tmp_path, capsys):
 
 
 def test_cli_reports_non_convergence(tmp_path, capsys):
-    problem = tmp_path / "fredholm.prob"
-    problem.write_text(FREDHOLM_TEXT)
-    code = main(["solve", str(problem), "--max-iter", "1", "--tol", "1e-15"])
+    problem = tmp_path / "volterra.prob"
+    problem.write_text(VOLTERRA_TEXT)
+    code = main(["solve", str(problem), "--max-iter", "1"])
     captured = capsys.readouterr()
     assert code == 1
-    assert "did not converge" in captured.err
+    assert captured.err == (
+        "did not converge: Newton stopped after 1 of at most 1 iteration(s), "
+        "residual max-norm 1.864e-04 > 1e-12\n"
+    )
 
 
 def test_cli_override_shapes_change_output(tmp_path):
@@ -492,6 +496,34 @@ def test_cli_rejects_residual_that_overflows_at_the_start(tmp_path, capsys):
     assert code == 1
     assert captured.err == (
         f"could not solve {problem}: the starting residual is not finite (max-norm nan)\n"
+    )
+
+
+# the residual is near overflow, about 1e300, on every Newton iterate, and
+# the line search's dot products of it would overflow unless scaled; the
+# Jacobian turns singular after a few steps, well short of the limit
+NEAR_OVERFLOW_TEXT = """\
+kind = fredholm
+lambda = 1
+kernel = 1
+f = 1e150
+m = 0
+n = 0
+r = 2
+q = 1
+"""
+
+
+@pytest.mark.filterwarnings("error")
+def test_cli_reports_the_iterations_newton_took_near_overflow(tmp_path, capsys):
+    problem = tmp_path / "overflow.prob"
+    problem.write_text(NEAR_OVERFLOW_TEXT)
+    code = main(["solve", str(problem)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err == (
+        "did not converge: Newton stopped after 4 of at most 100 iteration(s), "
+        "residual max-norm 9.757e+299 > 1e-12\n"
     )
 
 
@@ -618,6 +650,48 @@ r = 3
 q = 12
 exact = exp(1.1934295914085835*t)
 """
+
+
+def _halving_newton(system, tol=1e-12, max_iter=100):
+    """Newton from Y = F that only halves its steps, without the exact line
+    search: the oracle for the roots the line search must keep."""
+    y = system.forcing.copy()
+    res = residual(system, y)
+    for _ in range(max_iter):
+        norm = np.abs(res).max()
+        if norm <= tol:
+            break
+        step = np.linalg.solve(_jacobian(system, y), -res)
+        if np.abs(step).max() <= 64 * np.finfo(float).eps * np.abs(y).max():
+            break
+        for halvings in range(21):
+            candidate = y + 0.5**halvings * step
+            cand_res = residual(system, candidate)
+            if np.abs(cand_res).max() < norm:
+                break
+        y, res = candidate, cand_res
+    return y
+
+
+def test_line_search_solves_a_rank_1_fredholm_problem_in_one_step():
+    # exp(t - s) has rank 1, so the root lies on the Newton line from Y = F
+    spec = parse_problem(FREDHOLM_WIDE_TEXT)
+    output = run(spec)
+    assert output.report.converged
+    assert output.report.iterations == 1
+    system = assemble(
+        output.config,
+        spec.kind,
+        spec.scalar,
+        lambda t, s: evaluate(spec.kernel, t, s),
+        lambda t: evaluate(spec.forcing, t),
+        spec.m,
+        spec.n,
+        spec.initial_conditions,
+    )
+    expected = _halving_newton(system)
+    scale = np.abs(expected).max()
+    np.testing.assert_allclose(output.report.Y, expected, rtol=0, atol=1e-11 * scale)
 
 
 def test_newton_stalled_at_rounding_floor_keeps_the_intended_root():

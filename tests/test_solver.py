@@ -5,10 +5,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from legpulse.basis import BasisConfig, project_function, reconstruct
 from legpulse.opmatrices import build_J, build_L, build_P
 from legpulse.solver import (
+    _cubic_roots,
     _jacobian,
     assemble,
     derivative_max,
@@ -399,3 +401,46 @@ def test_jacobian_is_exact_by_polarization(kind, r, q):
         polar = (residual(system, y + d) - residual(system, y - d)) / 2.0
         scale = max(1.0, float(np.max(np.abs(polar))))
         np.testing.assert_allclose(_jacobian(system, y) @ d, polar, rtol=1e-12, atol=1e-12 * scale)
+
+
+@settings(deadline=None, max_examples=40)
+@given(
+    kind=st.sampled_from(["fredholm", "volterra"]),
+    m=st.integers(0, 2),
+    n=st.integers(0, 2),
+    sign=st.sampled_from([-1.0, 1.0]),
+    seed=st.integers(0, 2**16),
+)
+def test_residual_along_a_newton_step_is_the_line_search_model(kind, m, n, sign, seed):
+    # R is quadratic and J s = -R(y), so R(y + a s) = (1 - a) R(y) + a^2 R(y + s)
+    # for every a; the exact line search picks its step length from this
+    system = _random_system(kind, m, n, 3, 4, seed)
+    system = dataclasses.replace(system, scalar=sign * abs(system.scalar))
+    y = np.random.default_rng(seed).uniform(-1.0, 1.0, system.config.dim)
+    jac = _jacobian(system, y)
+    res = residual(system, y)
+    step = np.linalg.solve(jac, -res)
+    full = residual(system, y + step)
+    # the solve's rounding leaves J s + R(y) of order dim * eps * |J| |s|
+    rounding = y.size * np.finfo(float).eps * np.abs(jac).max() * np.abs(step).max()
+    for a in (0.25, 0.5, 1.5, 2.0):
+        got = residual(system, y + a * step)
+        model = (1.0 - a) * res + a * a * full
+        scale = max(np.abs(res).max(), np.abs(full).max(), np.abs(got).max())
+        np.testing.assert_allclose(got, model, rtol=0, atol=1e-12 * scale + a * rounding)
+
+
+@pytest.mark.parametrize(
+    "coeffs",
+    [
+        (1.0, -6.0, 11.0, -6.0),
+        (2.0, -3.0, 1.0, -5.0),
+        (0.5, 0.0, -3.0, 1e-3),
+        (1.0, 0.0, 0.0, -8.0),
+    ],
+    ids=["three-roots", "one-root", "near-zero-root", "pure-cube"],
+)
+def test_cubic_roots_match_the_companion_matrix(coeffs):
+    expected = np.roots(coeffs)
+    expected = np.sort(expected[np.abs(expected.imag) < 1e-9].real)
+    np.testing.assert_allclose(np.sort(_cubic_roots(*coeffs)), expected, rtol=1e-12, atol=1e-14)
