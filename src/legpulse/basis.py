@@ -64,6 +64,20 @@ def _projection_data(config: BasisConfig):
     return ts, weights, leg, scale
 
 
+@lru_cache(maxsize=None)
+def _pair_nodes(config: BasisConfig):
+    """Block pairs (k, l) = (0, p) for p < q and (p - q + 1, 0) after, cached
+    and read-only: (t, s, at) with pair p's t-nodes t[p], shape (quad_points,
+    1), its s-nodes s[p], shape (1, quad_points), and at[p] = k - l + q - 1."""
+    ts, q = _projection_data(config)[0], config.q
+    p = np.arange(2 * q - 1)
+    rows, cols = np.maximum(p - q + 1, 0), np.where(p < q, p, 0)
+    pairs = ts[rows, :, None], ts[cols, None, :], rows - cols + q - 1
+    for array in pairs:
+        array.flags.writeable = False
+    return pairs
+
+
 def block_of(config: BasisConfig, t: ArrayLike):
     """1-based index of the block containing t in [0, 1); t may be an array."""
     t = np.asarray(t, dtype=float)
@@ -117,8 +131,27 @@ def project_function(
     return _require_finite(projected, "coefficient vector")
 
 
+def _sample_kernel(g, t: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """g(t, s) broadcast to the shape of t against s; a non-finite sample
+    raises ValueError naming its node."""
+    shape = np.broadcast(t, s).shape
+    gv = np.asarray(g(t, s), dtype=float)
+    if gv.shape != shape:
+        gv = np.broadcast_to(gv, shape)
+    if not np.isfinite(gv).all():
+        i = tuple(np.argwhere(~np.isfinite(gv))[0])
+        raise ValueError(
+            f"kernel returned {float(gv[i])!r} at node "
+            f"(t={float(np.broadcast_to(t, shape)[i])!r}, s={float(np.broadcast_to(s, shape)[i])!r})"
+        )
+    return gv
+
+
 def project_kernel(
-    config: BasisConfig, g: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    config: BasisConfig,
+    g: Callable[[np.ndarray, np.ndarray], np.ndarray],
+    *,
+    difference_kernel: bool = False,
 ) -> np.ndarray:
     """L2 projection of a two-variable kernel g(t, s) onto the tensor basis,
     a (dim, dim) array.
@@ -130,24 +163,42 @@ def project_kernel(
     basis function j in s, normalized like the 1-D projection in each
     variable; the integral is a tensor-product Gauss rule over each block
     pair.  Raises ValueError when g or the projection is not finite.
+
+    difference_kernel=True promises that g is a function of t - s alone.
+    Blocks have equal width and the same Gauss offsets, so block (k, l) of
+    the projection then depends on k - l only: the result is block Toeplitz.
+    With q >= 2, g is then called only on the 2q - 1 block pairs (0, 0) ..
+    (0, q-1), (1, 0) .. (q-1, 0), in that order and as many per call as fit
+    in the budget, with t of shape (p, quad_points, 1) and s of shape
+    (p, 1, quad_points).  The result equals the full projection to rounding.
     """
     ts, w, leg, scale = _projection_data(config)
+    q, r, dim = config.q, config.r, config.dim
     wleg = scale[:, None] * leg * w
+    if difference_kernel and q > 1:
+        t, s, at = _pair_nodes(config)
+        blocks = np.empty((2 * q - 1, r, r))
+        step = max(1, _KERNEL_SAMPLES // config.quad_points**2)
+        for p in range(0, 2 * q - 1, step):
+            gv = _sample_kernel(g, t[p : p + step], s[p : p + step])
+            # contract each pair's t nodes, then its s nodes, as below
+            with np.errstate(over="ignore", invalid="ignore"):
+                blocks[at[p : p + step]] = wleg @ gv @ wleg.T
+        _require_finite(blocks, "operator matrix")
+        # block (k, l) as a view of blocks[q - 1 + k - l], one block forward
+        # per k and one back per l; reshape copies it once, into the result
+        b0, b1, b2 = blocks.strides
+        toeplitz = np.ndarray((q, r, q, r), float, blocks, (q - 1) * b0, (b0, b1, -b0, b2))
+        return toeplitz.reshape(dim, dim)
     step = max(1, _KERNEL_SAMPLES // (ts.size * ts.shape[1]))
-    projected = np.empty((config.dim, config.dim))
-    for k0 in range(0, config.q, step):
+    projected = np.empty((dim, dim))
+    for k0 in range(0, q, step):
         t = ts[k0 : k0 + step]
-        gv = np.broadcast_to(np.asarray(g(t[:, :, None, None], ts), dtype=float), t.shape + ts.shape)
-        if not np.all(np.isfinite(gv)):
-            k, a, l, b = np.argwhere(~np.isfinite(gv))[0]
-            raise ValueError(
-                f"kernel returned {float(gv[k, a, l, b])!r} at node "
-                f"(t={float(t[k, a])!r}, s={float(ts[l, b])!r})"
-            )
+        gv = _sample_kernel(g, t[:, :, None, None], ts)
         # contract the t nodes of every block, then the s nodes
         with np.errstate(over="ignore", invalid="ignore"):
             half = (wleg @ gv.reshape(t.shape + (ts.size,))).reshape((-1,) + ts.shape)
-            projected[k0 * config.r : (k0 + step) * config.r] = (half @ wleg.T).reshape(-1, config.dim)
+            projected[k0 * r : (k0 + step) * r] = (half @ wleg.T).reshape(-1, dim)
     return _require_finite(projected, "operator matrix")
 
 

@@ -112,7 +112,8 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 
     if not output.report.converged:
         print(
-            f"did not converge: Newton stopped after {output.report.iterations} of at most "
+            f"did not converge: Newton stopped ({output.report.reason}) after "
+            f"{output.report.iterations} of at most "
             f"{args.max_iter} iteration(s), residual max-norm "
             f"{output.report.residual_norm:.3e} > {args.tol:g}",
             file=sys.stderr,

@@ -328,3 +328,22 @@ def variables(expr: Expr) -> frozenset:
     if isinstance(expr, BinOp):
         return variables(expr.left) | variables(expr.right)
     return frozenset()
+
+
+_DIFFERENCES = (BinOp("-", Name("t"), Name("s")), BinOp("-", Name("s"), Name("t")))
+
+
+def is_difference_kernel(expr: Expr) -> bool:
+    """Whether expr is a function of t - s alone: every t and s leaf sits in a
+    t - s or s - t node.  A constant counts; t * s, t and (t - s) + t do not."""
+    if expr in _DIFFERENCES:
+        return True
+    if isinstance(expr, Name):
+        return expr.ident not in VARIABLES
+    if isinstance(expr, Neg):
+        return is_difference_kernel(expr.operand)
+    if isinstance(expr, Call):
+        return is_difference_kernel(expr.arg)
+    if isinstance(expr, BinOp):
+        return is_difference_kernel(expr.left) and is_difference_kernel(expr.right)
+    return True

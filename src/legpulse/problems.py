@@ -29,6 +29,7 @@ from .exprlang import (
     ExprEvalError,
     ExprSyntaxError,
     evaluate,
+    is_difference_kernel,
     parse_expression,
     variables,
 )
@@ -244,7 +245,11 @@ class RunOutput:
 
 
 def run(spec: ProblemSpec, tol: float = 1e-12, max_iter: int = 100) -> RunOutput:
-    """Check tol and max_iter, then assemble, solve and tabulate one problem."""
+    """Check tol and max_iter, then assemble, solve and tabulate one problem.
+
+    A kernel that is a function of t - s alone (exprlang.is_difference_kernel)
+    is projected from block row 0 and block column 0 only.
+    """
     check_stopping(tol, max_iter)
     config = BasisConfig(q=spec.q, r=spec.r)
     try:
@@ -257,6 +262,7 @@ def run(spec: ProblemSpec, tol: float = 1e-12, max_iter: int = 100) -> RunOutput
             spec.m,
             spec.n,
             spec.initial_conditions,
+            difference_kernel=is_difference_kernel(spec.kernel),
         )
     except (ExprEvalError, ValueError, ArithmeticError) as exc:
         raise RunFailure(f"could not assemble {spec.origin}: {exc}") from exc
@@ -322,6 +328,7 @@ def format_report(output: RunOutput) -> str:
         f"kind: {spec.kind} ({KINDS[spec.kind]} = {spec.scalar:g}, m = {spec.m}, n = {spec.n})",
         f"basis: r = {spec.r}, q = {spec.q} (dimension {output.config.dim})",
         f"converged: {'yes' if report.converged else 'no'}",
+        f"stopped by: {report.reason}",
         f"iterations: {report.iterations}",
         f"residual max-norm: {report.residual_norm:.6e}",
     ]

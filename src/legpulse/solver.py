@@ -177,12 +177,14 @@ def _hessian(Q: np.ndarray) -> np.ndarray:
 @dataclass
 class SolveReport:
     """Outcome of a Newton run: the (dim,) solution coefficients plus
-    diagnostics."""
+    diagnostics.  reason says why Newton stopped: "converged", "iteration
+    limit", "line search exhausted" or "singular Jacobian"."""
 
     Y: np.ndarray
     iterations: int
     residual_norm: float
     converged: bool
+    reason: str
 
 
 def assemble(
@@ -194,11 +196,16 @@ def assemble(
     m: int,
     n: int,
     ics: Sequence[float] = (),
+    *,
+    difference_kernel: bool = False,
 ) -> AssembledSystem:
     """Check the problem, then project its data and build its operators.
 
     kernel and forcing must be numpy-vectorized, as project_kernel and
-    project_function describe.
+    project_function describe.  difference_kernel=True promises that kernel
+    is a function of t - s alone; project_kernel then samples only the
+    2q - 1 block pairs of block row 0 and block column 0, and the system's
+    kernel is block Toeplitz, equal to the full projection to rounding.
     """
     scalar, m, n, ics = float(scalar), int(m), int(n), tuple(float(a) for a in ics)
     check_problem(kind, scalar, m, n, ics)
@@ -206,7 +213,7 @@ def assemble(
         config=config,
         kind=kind,
         scalar=scalar,
-        kernel=project_kernel(config, kernel),
+        kernel=project_kernel(config, kernel, difference_kernel=difference_kernel),
         forcing=project_function(config, forcing),
         m=m,
         n=n,
@@ -329,8 +336,8 @@ def _newton(
     too.  The candidate of the two with the lower max-norm is tried first,
     then halved, at most _MAX_HALVINGS times, until the residual decreases.
     The run stops unconverged when that fails, when the Jacobian is
-    singular or after max_iter steps.  Raises FloatingPointError when the
-    residual at start is not finite.
+    singular or after max_iter steps, and the report's reason says which.
+    Raises FloatingPointError when the residual at start is not finite.
     """
     y = np.array(start, dtype=float)
     res = residual(system, y)
@@ -338,12 +345,14 @@ def _newton(
     if not np.isfinite(norm):
         raise FloatingPointError(f"the starting residual is not finite (max-norm {norm})")
     converged = norm <= tol
+    reason = "iteration limit"
     step_floor = _STEP_ULPS * np.finfo(float).eps
     iterations = 0
     while not converged and iterations < max_iter:
         try:
             step = np.linalg.solve(_jacobian(system, y), -res)
         except np.linalg.LinAlgError:
+            reason = "singular Jacobian"
             break
         if _inf_norm(step) <= step_floor * _inf_norm(y):
             converged = True
@@ -368,6 +377,7 @@ def _newton(
                 accepted = True
                 break
         if not accepted:
+            reason = "line search exhausted"
             break
         iterations += 1
         converged = norm <= tol
@@ -376,6 +386,7 @@ def _newton(
         iterations=iterations,
         residual_norm=norm,
         converged=converged,
+        reason="converged" if converged else reason,
     )
 
 

@@ -18,6 +18,7 @@ from legpulse.exprlang import (
     Num,
     UnknownIdentifier,
     evaluate,
+    is_difference_kernel,
     parse_expression,
     to_string,
     variables,
@@ -281,3 +282,29 @@ def test_constant_forcing_projects_like_one_variable_form():
         project_function(cfg, lambda t: evaluate(short, t)),
         project_function(cfg, lambda t: evaluate(full, t)),
     )
+
+
+@pytest.mark.parametrize(
+    "source, expected",
+    [
+        ("exp(t - s)", True),
+        ("sin(s - t)", True),
+        ("1/(1 + (t - s)^2)", True),
+        ("exp(-abs(t - s))", True),
+        ("t - s - 1", True),
+        ("-(s - t)^2*pi", True),
+        ("1", True),
+        ("e", True),
+        ("cos(5*t*s)", False),
+        ("t", False),
+        ("s", False),
+        ("t*s", False),
+        ("t + s", False),
+        ("(t - s) + t", False),
+        ("t - 2*s", False),
+        ("1 + t - s", False),  # (1 + t) - s: a function of t - s, but not by form
+        ("exp(t)*exp(-s)", False),
+    ],
+)
+def test_is_difference_kernel(source, expected):
+    assert is_difference_kernel(parse_expression(source)) is expected

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from legpulse import solver
 from legpulse.basis import BasisConfig, project_function, reconstruct
 from legpulse.opmatrices import build_J, build_L, build_P
 from legpulse.solver import (
@@ -126,6 +127,20 @@ def test_volterra_newton_converges_quickly():
     assert report.converged
     assert report.iterations <= 10
     assert report.residual_norm <= 1e-12
+
+
+def test_newton_says_why_it_stopped(monkeypatch):
+    system = volterra_sin_system()
+    assert solve(system).reason == "converged"
+    assert solve(system, max_iter=1).reason == "iteration limit"
+    dim = system.config.dim
+    # a step uphill fails every halving; a zero Jacobian cannot be solved
+    monkeypatch.setattr(solver, "_jacobian", lambda system, y: -np.eye(dim))
+    report = solve(system)
+    assert (report.reason, report.iterations, report.converged) == ("line search exhausted", 0, False)
+    monkeypatch.setattr(solver, "_jacobian", lambda system, y: np.zeros((dim, dim)))
+    report = solve(system)
+    assert (report.reason, report.iterations, report.converged) == ("singular Jacobian", 0, False)
 
 
 def test_jacobian_close_to_central():
