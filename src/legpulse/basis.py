@@ -45,7 +45,8 @@ class BasisConfig:
 
 
 # samples per kernel call in project_kernel: the most whole t-blocks whose float64
-# sample array stays under glibc's 128 KiB mmap threshold, so no call faults in pages
+# sample array stays under glibc's 128 KiB mmap threshold, so no call faults in
+# pages while one t-block fits (q <= 27 at quad_points 24), on either path
 _KERNEL_SAMPLES = 16_000
 
 
@@ -62,20 +63,6 @@ def _projection_data(config: BasisConfig):
     leg = legvander(nodes, config.r - 1).T
     scale = (2.0 * np.arange(config.r) + 1.0) / 2.0
     return ts, weights, leg, scale
-
-
-@lru_cache(maxsize=None)
-def _pair_nodes(config: BasisConfig):
-    """Block pairs (k, l) = (0, p) for p < q and (p - q + 1, 0) after, cached
-    and read-only: (t, s, at) with pair p's t-nodes t[p], shape (quad_points,
-    1), its s-nodes s[p], shape (1, quad_points), and at[p] = k - l + q - 1."""
-    ts, q = _projection_data(config)[0], config.q
-    p = np.arange(2 * q - 1)
-    rows, cols = np.maximum(p - q + 1, 0), np.where(p < q, p, 0)
-    pairs = ts[rows, :, None], ts[cols, None, :], rows - cols + q - 1
-    for array in pairs:
-        array.flags.writeable = False
-    return pairs
 
 
 def block_of(config: BasisConfig, t: ArrayLike):
@@ -166,40 +153,38 @@ def project_kernel(
 
     difference_kernel=True promises that g is a function of t - s alone.
     Blocks have equal width and the same Gauss offsets, so block (k, l) of
-    the projection then depends on k - l only: the result is block Toeplitz.
-    With q >= 2, g is then called only on the 2q - 1 block pairs (0, 0) ..
-    (0, q-1), (1, 0) .. (q-1, 0), in that order and as many per call as fit
-    in the budget, with t of shape (p, quad_points, 1) and s of shape
-    (p, 1, quad_points).  The result equals the full projection to rounding.
+    the projection then depends on k - l only: the result is block Toeplitz,
+    and block rows 0 and q - 1 between them hold every offset.  With q > 2,
+    g is then called on t-blocks 0 and q - 1 only, in the same way, and the
+    result equals the full projection to rounding; with q <= 2 those are all
+    the t-blocks, and the result is the full projection.
     """
     ts, w, leg, scale = _projection_data(config)
     q, r, dim = config.q, config.r, config.dim
     wleg = scale[:, None] * leg * w
-    if difference_kernel and q > 1:
-        t, s, at = _pair_nodes(config)
-        blocks = np.empty((2 * q - 1, r, r))
-        step = max(1, _KERNEL_SAMPLES // config.quad_points**2)
-        for p in range(0, 2 * q - 1, step):
-            gv = _sample_kernel(g, t[p : p + step], s[p : p + step])
-            # contract each pair's t nodes, then its s nodes, as below
-            with np.errstate(over="ignore", invalid="ignore"):
-                blocks[at[p : p + step]] = wleg @ gv @ wleg.T
-        _require_finite(blocks, "operator matrix")
-        # block (k, l) as a view of blocks[q - 1 + k - l], one block forward
-        # per k and one back per l; reshape copies it once, into the result
-        b0, b1, b2 = blocks.strides
-        toeplitz = np.ndarray((q, r, q, r), float, blocks, (q - 1) * b0, (b0, b1, -b0, b2))
-        return toeplitz.reshape(dim, dim)
+    two_rows = difference_kernel and q > 2
+    rows = ts[:: q - 1] if two_rows else ts  # t-blocks 0 and q - 1, or all
     step = max(1, _KERNEL_SAMPLES // (ts.size * ts.shape[1]))
-    projected = np.empty((dim, dim))
-    for k0 in range(0, q, step):
-        t = ts[k0 : k0 + step]
+    projected = np.empty((len(rows) * r, dim))
+    for k0 in range(0, len(rows), step):
+        t = rows[k0 : k0 + step]
         gv = _sample_kernel(g, t[:, :, None, None], ts)
         # contract the t nodes of every block, then the s nodes
         with np.errstate(over="ignore", invalid="ignore"):
             half = (wleg @ gv.reshape(t.shape + (ts.size,))).reshape((-1,) + ts.shape)
             projected[k0 * r : (k0 + step) * r] = (half @ wleg.T).reshape(-1, dim)
-    return _require_finite(projected, "operator matrix")
+    _require_finite(projected, "operator matrix")
+    if not two_rows:
+        return projected
+    # read backwards in l, row 0 holds the offsets k - l = 1 - q .. 0 and row q - 1 0 .. q - 1
+    row_blocks = projected.reshape(2, r, q, r).transpose(0, 2, 1, 3)
+    blocks = np.empty((2 * q - 1, r, r))
+    blocks[:q], blocks[q - 1 :] = row_blocks[0, ::-1], row_blocks[1, ::-1]
+    # block (k, l) as a view of blocks[q - 1 + k - l], one block forward per k
+    # and one back per l; reshape copies it once, into the result
+    b0, b1, b2 = blocks.strides
+    view = np.ndarray((q, r, q, r), float, blocks, (q - 1) * b0, (b0, b1, -b0, b2))
+    return view.reshape(dim, dim)
 
 
 def reconstruct(config: BasisConfig, y: np.ndarray, t: ArrayLike):

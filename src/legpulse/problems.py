@@ -248,7 +248,7 @@ def run(spec: ProblemSpec, tol: float = 1e-12, max_iter: int = 100) -> RunOutput
     """Check tol and max_iter, then assemble, solve and tabulate one problem.
 
     A kernel that is a function of t - s alone (exprlang.is_difference_kernel)
-    is projected from block row 0 and block column 0 only.
+    is sampled on t-blocks 0 and q - 1 only.
     """
     check_stopping(tol, max_iter)
     config = BasisConfig(q=spec.q, r=spec.r)

@@ -203,9 +203,9 @@ def assemble(
 
     kernel and forcing must be numpy-vectorized, as project_kernel and
     project_function describe.  difference_kernel=True promises that kernel
-    is a function of t - s alone; project_kernel then samples only the
-    2q - 1 block pairs of block row 0 and block column 0, and the system's
-    kernel is block Toeplitz, equal to the full projection to rounding.
+    is a function of t - s alone; project_kernel then samples only t-blocks
+    0 and q - 1, and the system's kernel is block Toeplitz, equal to the
+    full projection to rounding.
     """
     scalar, m, n, ics = float(scalar), int(m), int(n), tuple(float(a) for a in ics)
     check_problem(kind, scalar, m, n, ics)

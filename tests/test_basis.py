@@ -182,9 +182,9 @@ def test_kernel_projection_in_chunks_equals_one_shot(r, q):
         np.testing.assert_array_equal(project_kernel(cfg, g), _one_shot_kernel(cfg, g))
 
 
-@pytest.mark.parametrize("r, q", CHUNK_SHAPES)
-def test_kernel_is_called_on_whole_t_blocks_within_the_budget(r, q):
-    cfg = BasisConfig(q=q, r=r)
+def _recording_projection(cfg, difference_kernel):
+    # project exp(t - s), checking every call against the one call contract;
+    # returns the t-blocks g saw, in order, one array per call
     ts = _projection_data(cfg)[0]
     Q = cfg.quad_points
     calls = []
@@ -196,10 +196,34 @@ def test_kernel_is_called_on_whole_t_blocks_within_the_budget(r, q):
         assert t.shape[0] * s.size * Q <= _KERNEL_SAMPLES or t.shape[0] == 1
         return np.exp(t - s)
 
-    project_kernel(cfg, recording)
+    project_kernel(cfg, recording, difference_kernel=difference_kernel)
+    return calls
+
+
+@pytest.mark.parametrize("r, q", CHUNK_SHAPES)
+def test_kernel_is_called_on_whole_t_blocks_within_the_budget(r, q):
+    cfg = BasisConfig(q=q, r=r)
+    ts = _projection_data(cfg)[0]
+    calls = _recording_projection(cfg, difference_kernel=False)
     np.testing.assert_array_equal(np.concatenate(calls), ts)
-    if q * Q * q * Q <= _KERNEL_SAMPLES:
-        assert len(calls) == 1
+    per_call = max(1, _KERNEL_SAMPLES // (ts.size * cfg.quad_points))
+    assert len(calls) == -(-q // per_call)
+
+
+@pytest.mark.parametrize("r, q", CHUNK_SHAPES)
+def test_difference_kernel_is_called_on_block_row_0_then_column_0(r, q):
+    # K(k, l) depends on k - l only, so its block row 0 (offsets 0 .. -(q - 1))
+    # and block column 0 (offsets 0 .. q - 1) fix it; g is called on t-blocks
+    # 0 and q - 1, which hold exactly those offsets, through the full path's loop
+    cfg = BasisConfig(q=q, r=r)
+    ts = _projection_data(cfg)[0]
+    calls = _recording_projection(cfg, difference_kernel=True)
+    sampled = [0, q - 1] if q > 2 else list(range(q))
+    np.testing.assert_array_equal(np.concatenate(calls), ts[sampled])
+    offsets = {k - l for k in sampled for l in range(q)}
+    assert offsets == set(range(-(q - 1), q))
+    per_call = max(1, _KERNEL_SAMPLES // (ts.size * cfg.quad_points))
+    assert len(calls) == -(-len(sampled) // per_call)
 
 
 def test_kernel_projection_names_first_bad_node_of_a_later_chunk():
@@ -223,60 +247,31 @@ DIFFERENCE_KERNELS = {
 }
 
 
-def _pair_order(q):
-    # the block pairs the difference path samples: block row 0, then column 0
-    return [(0, l) for l in range(q)] + [(k, 0) for k in range(1, q)]
-
-
 @pytest.mark.parametrize("r, q", CHUNK_SHAPES)
 def test_difference_kernel_projection_equals_the_full_one(r, q):
     # the full projection is the oracle; the two differ only in how t - s
-    # rounds at nodes of equal block offset
+    # rounds at nodes of equal block offset, and not at all while q <= 2,
+    # where block rows 0 and q - 1 are all the rows
     cfg = BasisConfig(q=q, r=r)
     for name, g in DIFFERENCE_KERNELS.items():
         full = project_kernel(cfg, g)
         toeplitz = project_kernel(cfg, g, difference_kernel=True)
         tol = 4 * np.finfo(float).eps * np.abs(full).max()
         np.testing.assert_allclose(toeplitz, full, rtol=0, atol=tol, err_msg=name)
-
-
-@pytest.mark.parametrize("r, q", CHUNK_SHAPES)
-def test_difference_kernel_is_called_on_block_row_0_then_column_0(r, q):
-    cfg = BasisConfig(q=q, r=r)
-    ts = _projection_data(cfg)[0]
-    Q = cfg.quad_points
-    calls, pairs = [], []
-
-    def recording(t, s):
-        calls.append(t.shape)
-        if q == 1:  # one pair: the full path's single call
-            assert t.shape == (1, Q, 1, 1)
-            np.testing.assert_array_equal(s, ts)
-            pairs.append((0, 0))
-            return np.exp(t - s)
-        assert t.shape[1:] == (Q, 1) and s.shape == (t.shape[0], 1, Q)
-        assert t.shape[0] * Q * Q <= _KERNEL_SAMPLES or t.shape[0] == 1
-        for nodes in zip(t[:, :, 0], s[:, 0]):
-            block = [np.flatnonzero((ts == x).all(axis=1)) for x in nodes]
-            assert [len(b) for b in block] == [1, 1]
-            pairs.append((int(block[0][0]), int(block[1][0])))
-        return np.exp(t - s)
-
-    project_kernel(cfg, recording, difference_kernel=True)
-    assert pairs == _pair_order(q)
-    per_call = max(1, _KERNEL_SAMPLES // (Q * Q))
-    assert len(calls) == (1 if q == 1 else -(-(2 * q - 1) // per_call))
+        if q <= 2:
+            np.testing.assert_array_equal(toeplitz, full, err_msg=name)
 
 
 def test_difference_kernel_names_its_first_bad_sampled_node():
     cfg = BasisConfig(q=40, r=3)
     ts = _projection_data(cfg)[0]
     g = lambda t, s: np.where(t - s > 0.9, np.inf, np.exp(t - s))  # noqa: E731
-    rows, cols = np.array(_pair_order(cfg.q)).T
-    grid = g(ts[rows, :, None], ts[cols, None, :])
-    p, a, b = np.argwhere(~np.isfinite(grid))[0]
-    assert p >= _KERNEL_SAMPLES // cfg.quad_points**2  # past the first chunk
-    message = f"kernel returned inf at node (t={float(ts[rows[p], a])!r}, s={float(ts[cols[p], b])!r})"
+    rows = ts[[0, cfg.q - 1]]
+    grid = g(rows[:, :, None, None], ts)
+    k, a, l, b = np.argwhere(~np.isfinite(grid))[0]
+    # t-block q - 1, sampled in the second call: one t-block is over the budget
+    assert k == 1 and ts.size * cfg.quad_points > _KERNEL_SAMPLES
+    message = f"kernel returned inf at node (t={float(rows[k, a])!r}, s={float(ts[l, b])!r})"
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         project_kernel(cfg, g, difference_kernel=True)
 
@@ -377,6 +372,6 @@ def test_projections_reject_overflow_of_finite_samples():
     # the order-1 rows sum (3/2)|p_1| against a kernel of sign p_1(t)
     with pytest.raises(ValueError, match="operator matrix contains non-finite"):
         project_kernel(cfg, lambda t, s: 1.5e308 * np.sign(t - 0.5) + 0.0 * s)
-    # and on the difference path, in the diagonal block of sign(t - s)
+    # and on the difference path, in the diagonal blocks of sign(t - s)
     with pytest.raises(ValueError, match="operator matrix contains non-finite"):
-        project_kernel(BasisConfig(q=2, r=2), lambda t, s: 1.5e308 * np.sign(t - s), difference_kernel=True)
+        project_kernel(BasisConfig(q=3, r=2), lambda t, s: 1.5e308 * np.sign(t - s), difference_kernel=True)

@@ -9,7 +9,7 @@ import pytest
 from legpulse import solver
 from legpulse.basis import BasisConfig
 from legpulse.cli import main
-from legpulse.exprlang import evaluate
+from legpulse.exprlang import evaluate, is_difference_kernel
 from legpulse.problems import (
     DEFAULT_GRID,
     GridRow,
@@ -425,6 +425,23 @@ def test_bundled_problem_files_load():
         assert out.report.converged
 
 
+@pytest.mark.parametrize("q", [12, 40])
+def test_difference_kernel_spelled_as_a_product_gives_the_same_solution(q):
+    # exp(t)*exp(-s) is not written in t - s, so it takes the full projection,
+    # while exp(t - s) takes t-blocks 0 and q - 1 only; from q = 28 up each
+    # kernel call takes one t-block, over the sample budget
+    from pathlib import Path
+
+    text = (Path(__file__).resolve().parent.parent / "problems" / "fredholm_exp.prob").read_text()
+    spellings = [parse_problem(text), parse_problem(text.replace("exp(t - s)", "exp(t)*exp(-s)"))]
+    assert [is_difference_kernel(spec.kernel) for spec in spellings] == [True, False]
+    toeplitz, full = (run(dataclasses.replace(spec, r=3, q=q)) for spec in spellings)
+    assert toeplitz.report.converged and full.report.converged
+    np.testing.assert_allclose(
+        [row.y_approx for row in toeplitz.rows], [row.y_approx for row in full.rows], rtol=1e-10, atol=0
+    )
+
+
 DOMAIN_ERROR_TEXT = """\
 kind = fredholm
 lambda = 1
@@ -460,8 +477,8 @@ def test_cli_names_runtime_domain_error(tmp_path, capsys, kernel, f, message):
 
 @pytest.mark.parametrize("q", ["1", "3"])
 def test_log_kernel_names_the_first_diagonal_node_on_either_projection_path(tmp_path, capsys, q):
-    # q = 1 samples the one block pair in full, q = 3 block row 0 and column
-    # 0; both sample the diagonal pair (0, 0) first, where t == s
+    # q = 1 samples its one t-block, q = 3 t-blocks 0 and 2 only; both sample
+    # t-block 0 first, and its diagonal block (0, 0), where t == s
     problem = tmp_path / "domain.prob"
     problem.write_text(DOMAIN_ERROR_TEXT.format(kernel="log(t - s)", f="t").replace("q = 2", f"q = {q}"))
     assert main(["solve", str(problem)]) == 1
