@@ -187,16 +187,32 @@ def project_kernel(
     return view.reshape(dim, dim)
 
 
+# how many (config, grid) pairs reconstruct keeps the basis values of: a
+# process that solves a few problems in turn reuses each one's grid
+_GRID_BASES = 8
+
+
+@lru_cache(maxsize=_GRID_BASES)
+def _grid_basis(config: BasisConfig, grid: tuple) -> np.ndarray:
+    basis = eval_basis(config, grid)
+    basis.setflags(write=False)
+    return basis
+
+
 def reconstruct(config: BasisConfig, y: np.ndarray, t: ArrayLike):
     """Value at t, a point or an array of points in [0, 1), of the function
     with hybrid coefficients y, a (dim,) array; a float or an array of t's
-    shape."""
+    shape.  A tuple t, the type of ProblemSpec.grid, is a grid: its basis
+    values are kept for the last _GRID_BASES pairs of config and grid."""
     y = np.asarray(y, dtype=float)
     if y.shape != (config.dim,):
         raise ValueError(
             f"coefficient vector must have length {config.dim}, got shape {y.shape}"
         )
-    basis = eval_basis(config, t)
+    try:
+        basis = _grid_basis(config, t) if isinstance(t, tuple) else eval_basis(config, t)
+    except TypeError:  # a tuple holding lists or arrays cannot key the cache
+        basis = eval_basis(config, t)
     # one dot product per point, as eval_basis(t) @ y at a single t, so a
     # value does not depend on how many points are asked for at once
     values = (basis[..., None, :] @ y[:, None])[..., 0, 0]

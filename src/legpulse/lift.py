@@ -5,18 +5,22 @@ recursion Y^(i+1) = J (Y^(i) - Y0^(i)) with J = build_J(config), the inverse
 transpose of the integration matrix; unrolled it reads
 J^n Y - sum_{k=1..n} J^k Y0^(n-k).  The initial conditions are a plain
 sequence of floats a_i = y^(i)(0).  lift applies the recursion to one
-vector; lift_map forms the dense power J^n with matrix_power, which each
-assembled system keeps in its lifts' affine map.
+vector; lift_map pairs the dense power J^n with the lift of the zero vector,
+the affine map each assembled system keeps.  J^n depends on the config and
+n alone, so lift_power forms it with matrix_power once per (config, n),
+keeps it for the life of the process and returns it read-only, like the
+build_* matrices of opmatrices; only the offset depends on the ics.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
 
 from .basis import BasisConfig
-from .opmatrices import build_J
+from .opmatrices import _frozen, build_J
 
 
 def project_initial(a: float, config: BasisConfig) -> np.ndarray:
@@ -52,8 +56,15 @@ def lift(y: np.ndarray, n: int, ics: Sequence[float], config: BasisConfig) -> np
     return y
 
 
+@lru_cache(maxsize=None)
+def lift_power(config: BasisConfig, n: int) -> np.ndarray:
+    """J^n, a read-only (dim, dim) array shared by every caller."""
+    return _frozen(np.linalg.matrix_power(build_J(config), n))
+
+
 def lift_map(n: int, ics: Sequence[float], config: BasisConfig) -> tuple[np.ndarray, np.ndarray]:
-    """The n-th lift as the affine map y -> J^n y + b: J^n, a (dim, dim)
-    array, and b, the lift of the zero vector, a (dim,) array.  J^n is also
-    the derivative of the lift at every y."""
-    return np.linalg.matrix_power(build_J(config), n), lift(np.zeros(config.dim), n, ics, config)
+    """The n-th lift as the affine map y -> J^n y + b: J^n, the read-only
+    (dim, dim) array of lift_power, and b, the lift of the zero vector, a
+    (dim,) array.  J^n is also the derivative of the lift at every y."""
+    offset = lift(np.zeros(config.dim), n, ics, config)
+    return lift_power(config, n), offset

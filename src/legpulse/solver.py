@@ -18,13 +18,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .basis import BasisConfig, project_function, project_kernel
-from .lift import lift, lift_map
+from .lift import lift, lift_map, lift_power
 from .opmatrices import (
+    _frozen,
     build_P,
     build_product_tensor,
     build_triple_tensor,
@@ -102,19 +104,25 @@ class AssembledSystem:
     check_problem.  kernel is a (dim, dim) array and forcing a (dim,)
     array, both for config.
 
-    Everything else is built here, once, from those fields: the (r, r, r)
-    triple tensor, shared read-only with every other system of the same
-    config; the split of the kernel that the integral core reads, C, the
+    Everything else is built here from those fields: the (r, r, r) triple
+    tensor; the split of the kernel that the integral core reads, C, the
     (dim, dim) carried kernel (kernel itself for Fredholm), diagonal, the
     (q, r, r) diagonal blocks of the kernel for Volterra and None for
     Fredholm, and E, the (r, r) diagonal block of the integration matrix;
-    and the m-th and n-th lifts as one affine map y -> A y + a, from
-    lift_map, grouped by block: A[k, :r] and A[k, r:] are the rows of J^m
-    and J^n for block k, shape (q, 2r, dim), and a, shape (q, 2r), holds
-    the lifts of the zero vector in the same layout.  Z0 and W (None for
-    Fredholm) are the Hessians in w_k = (u_k, v_k), as _hessian describes, of
+    and the m-th and n-th lifts as one affine map y -> A y + a, grouped by
+    block: A[k, :r] and A[k, r:] are the rows of J^m and J^n for block k,
+    shape (q, 2r, dim), and a, shape (q, 2r), holds the lifts of the zero
+    vector from lift_map in the same layout.  Z0 and W (None for Fredholm)
+    are the Hessians in w_k = (u_k, v_k), as _hessian describes, of
     D_k e0 = sum_{j,l} u_kj v_kl Z[j, l, :, 0], Z the product tensor, and of
     hat(K_kk D_k E) = sum_{j,l} u_kj v_kl W_k[j, l], W_k[j, l] = hat(K_kk Z[j, l] E).
+    W has shape (q, 2r, 2r^2), one W_k per block, or (1, 2r, 2r^2) when the
+    diagonal blocks K_kk are bitwise equal, as for a difference kernel's
+    block-Toeplitz projection; _jacobian then broadcasts its one block.
+
+    The tensor, A and Z0 depend on the config (and A on m and n) alone, so
+    they are built once per process and shared read-only by every system
+    of the same shape; a, C, diagonal and W are the system's own.
     """
 
     config: BasisConfig
@@ -145,21 +153,40 @@ class AssembledSystem:
             if got != want:
                 raise ValueError(f"{label} was built for {got}, but {self.config} needs {want}")
         self.tensor = build_triple_tensor(self.config)
-        maps = [lift_map(k, self.ics, self.config) for k in (self.m, self.n)]
-        self.A = np.concatenate([A.reshape(q, r, dim) for A, _ in maps], axis=1)
-        self.a = np.concatenate([a.reshape(q, r) for _, a in maps], axis=1)
+        self.A = _lift_rows(self.config, self.m, self.n)
+        offsets = [lift_map(k, self.ics, self.config)[1] for k in (self.m, self.n)]
+        self.a = np.concatenate([b.reshape(q, r) for b in offsets], axis=1)
         self.E = build_P(self.config)[:r, :r]
-        Z = build_product_tensor(self.config)
-        self.Z0 = _hessian(Z[..., 0])
+        self.Z0 = _carried_hessian(self.config)
         if self.kind == "fredholm":
             self.C, self.diagonal, self.W = self.kernel, None, None
         else:
-            self.C = self.kernel * np.tri(q, k=-1).repeat(r, 0).repeat(r, 1)
-            self.diagonal = self.kernel.reshape(q, r, q, r)[np.arange(q), :, np.arange(q)]
+            blocks = self.kernel.reshape(q, r, q, r)
+            self.C = (blocks * np.tri(q, k=-1)[:, None, :, None]).reshape(dim, dim)
+            self.diagonal = blocks[np.arange(q), :, np.arange(q)]
+            # equal bytes, not just equal values, so that one block gives the
+            # Jacobian of q blocks bit for bit
+            bits = self.diagonal.view(np.uint8)
+            diagonal = self.diagonal[:1] if (bits == bits[0]).all() else self.diagonal
             # W_k[j, l] = sum_{c,d} Z[j, l, c, d] G_k[c, d], G_k[c, d] = hat(K_kk[:, c] E[d]^T)
-            G = self.diagonal.swapaxes(1, 2) @ (self.E @ self.tensor).reshape(r, r * r)
-            W = Z.reshape(r * r, r * r) @ G.reshape(q, r * r, r)
-            self.W = _hessian(W.reshape(q, r, r, r))
+            G = diagonal.swapaxes(1, 2) @ (self.E @ self.tensor).reshape(r, r * r)
+            Z = build_product_tensor(self.config)
+            W = Z.reshape(r * r, r * r) @ G.reshape(-1, r * r, r)
+            self.W = _hessian(W.reshape(-1, r, r, r))
+
+
+@lru_cache(maxsize=None)
+def _lift_rows(config: BasisConfig, m: int, n: int) -> np.ndarray:
+    """AssembledSystem.A for config, m and n, read-only."""
+    q, r, dim = config.q, config.r, config.dim
+    rows = [lift_power(config, k).reshape(q, r, dim) for k in (m, n)]
+    return _frozen(np.concatenate(rows, axis=1))
+
+
+@lru_cache(maxsize=None)
+def _carried_hessian(config: BasisConfig) -> np.ndarray:
+    """AssembledSystem.Z0 for config, read-only."""
+    return _frozen(_hessian(build_product_tensor(config)[..., 0]))
 
 
 def _hessian(Q: np.ndarray) -> np.ndarray:
@@ -256,7 +283,8 @@ def _jacobian(system: AssembledSystem, y: np.ndarray) -> np.ndarray:
     affine lifts, read from the system's map A y + a: w_k = (u_k, v_k) depends
     on y through the 2r rows A[k].  I is bilinear in each w_k, so with the
     Hessians Z0 and W, dR = I + c (C blockdiag([Z0 v_k | u_k Z0] A[k]) / q
-    + blockdiag([W_k v_k | u_k W_k] A[k])), the second term for Volterra only.
+    + blockdiag([W_k v_k | u_k W_k] A[k])), the second term for Volterra only;
+    a W of one block serves every k.
     """
     q, r, dim = system.config.q, system.config.r, system.config.dim
     A = system.A
@@ -429,27 +457,12 @@ def error_bound(mu: int, M: float) -> float:
     return num / (den * 2 ** (2 * mu + 1) * math.factorial(mu + 1))
 
 
-def derivative_max(f: Callable[[np.ndarray], np.ndarray], order: int) -> float:
-    """Estimate max |f^(order)| on [0, 1] by central differences.
-
-    Uses one Richardson extrapolation from steps 2h and h, with h = 0.01.
-    The 1001-point sample grid is clipped so every stencil point stays inside
-    [0, 1], which it cannot from order 50 up.  f must be numpy-vectorized:
-    each stencil offset calls it on the whole grid.  From order 8 up the
-    estimate is rounding noise: for exp on [0, 1] it gives 958 at order 8 and
-    1.1e12 at order 12, where the true value is e.
-    """
-    if order < 0:
-        raise ValueError(f"order must be nonnegative, got {order}")
-    if order == 0:
-        return float(np.max(np.abs(f(np.linspace(_LO, _HI, _SAMPLES)))))
-    offsets = np.arange(order + 1)
-    weights = np.array([(-1.0) ** i * math.comb(order, i) for i in offsets])
-
-    def stencil(grid: np.ndarray, h: float) -> np.ndarray:
-        terms = (w * f(grid + (order / 2.0 - i) * h) for i, w in zip(offsets, weights))
-        return sum(terms) / h**order
-
+@lru_cache(maxsize=None)
+def _stencil_points(order: int) -> np.ndarray:
+    """Every point derivative_max samples at order >= 1, read-only, shape
+    (2, order + 1, _SAMPLES): row (0, i) is the grid shifted by
+    (order / 2 - i) 2h, row (1, i) the same with step h, in the order the
+    stencil sums take them."""
     coarse_h = 2.0 * _STEP
     reach = (order / 2.0) * coarse_h
     a, b = _LO + reach, _HI - reach
@@ -457,8 +470,33 @@ def derivative_max(f: Callable[[np.ndarray], np.ndarray], order: int) -> float:
         raise ValueError(
             f"step {_STEP} is too large for order {order} on [{_LO}, {_HI}]"
         )
-    grid = np.linspace(a, b, _SAMPLES)
-    coarse = stencil(grid, coarse_h)
-    fine = stencil(grid, _STEP)
+    steps = np.array([coarse_h, _STEP])[:, None, None]
+    shifts = (order / 2.0 - np.arange(order + 1))[:, None] * steps
+    return _frozen(np.linspace(a, b, _SAMPLES) + shifts)
+
+
+def derivative_max(f: Callable[[np.ndarray], np.ndarray], order: int) -> float:
+    """Estimate max |f^(order)| on [0, 1] by central differences.
+
+    Uses one Richardson extrapolation from steps 2h and h, with h = 0.01.
+    The 1001-point sample grid is clipped so every stencil point stays inside
+    [0, 1], which it cannot from order 50 up.  f must be numpy-vectorized:
+    from order 1 up it is called once, on the (2, order + 1, 1001) array of
+    every stencil point, built once per order, so an error it raises names
+    the first bad point in stencil order, coarse step first.  From order 8 up
+    the estimate is rounding noise: for exp on [0, 1] it gives 958 at order 8
+    and 1.1e12 at order 12, where the true value is e.
+    """
+    if order < 0:
+        raise ValueError(f"order must be nonnegative, got {order}")
+    if order == 0:
+        return float(np.max(np.abs(f(np.linspace(_LO, _HI, _SAMPLES)))))
+    weights = np.array([(-1.0) ** i * math.comb(order, i) for i in range(order + 1)])
+    points = _stencil_points(order)
+    values = np.broadcast_to(np.asarray(f(points), dtype=float), points.shape)
+    coarse, fine = (
+        sum(w * v for w, v in zip(weights, values[j])) / h**order
+        for j, h in enumerate((2.0 * _STEP, _STEP))
+    )
     refined = (4.0 * fine - coarse) / 3.0
     return float(np.max(np.abs(refined)))

@@ -290,6 +290,20 @@ def test_reconstruct_affine_closed_form():
         assert reconstruct(cfg, Y, t) == pytest.approx(expected, abs=1e-12)
 
 
+def test_reconstruct_on_a_tuple_grid_equals_arrays_and_single_points():
+    cfg = BasisConfig(q=12, r=3)
+    grid = tuple(i / 7 for i in range(7)) + (0.999,)
+    rng = np.random.default_rng(5)
+    for y in (rng.standard_normal(cfg.dim), rng.standard_normal(cfg.dim)):
+        values = reconstruct(cfg, y, grid)
+        assert isinstance(values, np.ndarray) and values.shape == (len(grid),)
+        np.testing.assert_array_equal(values, reconstruct(cfg, y, np.array(grid)))
+        np.testing.assert_array_equal(values, [reconstruct(cfg, y, t) for t in grid])
+    # a tuple of arrays cannot key the grid cache, and still works
+    pairs = (np.array(grid[:4]), np.array(grid[4:]))
+    np.testing.assert_array_equal(reconstruct(cfg, y, pairs), np.reshape(values, (2, 4)))
+
+
 @settings(deadline=None, max_examples=25)
 @given(
     q=st.integers(min_value=1, max_value=6),

@@ -1,5 +1,6 @@
 """Residuals, Newton solver, error bound and derivative estimation."""
 
+import copy
 import dataclasses
 import math
 
@@ -9,9 +10,12 @@ from hypothesis import given, settings, strategies as st
 
 from legpulse import solver
 from legpulse.basis import BasisConfig, project_function, reconstruct
-from legpulse.opmatrices import build_J, build_L, build_P
+from legpulse.exprlang import ExprEvalError, evaluate, parse_expression
+from legpulse.lift import lift_map, lift_power
+from legpulse.opmatrices import build_J, build_L, build_P, build_product_tensor
 from legpulse.solver import (
     _cubic_roots,
+    _hessian,
     _jacobian,
     assemble,
     derivative_max,
@@ -301,6 +305,43 @@ def test_derivative_max_validation():
         derivative_max(math.exp, 50)
 
 
+def _derivative_max_per_offset(f, order):
+    """derivative_max as one f call per stencil offset and step, the reference
+    for the single call on every stencil point."""
+    if order == 0:
+        return float(np.max(np.abs(f(np.linspace(0.0, 1.0, 1001)))))
+    offsets = np.arange(order + 1)
+    weights = np.array([(-1.0) ** i * math.comb(order, i) for i in offsets])
+
+    def stencil(grid, h):
+        terms = (w * f(grid + (order / 2.0 - i) * h) for i, w in zip(offsets, weights))
+        return sum(terms) / h**order
+
+    reach = (order / 2.0) * 0.02
+    grid = np.linspace(0.0 + reach, 1.0 - reach, 1001)
+    coarse = stencil(grid, 0.02)
+    fine = stencil(grid, 0.01)
+    refined = (4.0 * fine - coarse) / 3.0
+    return float(np.max(np.abs(refined)))
+
+
+@pytest.mark.parametrize("order", range(8))
+def test_derivative_max_equals_the_per_offset_loop(order):
+    for f in (np.exp, np.sin, lambda t: t * t):
+        assert derivative_max(f, order) == _derivative_max_per_offset(f, order)
+    # an expression that fails names the same subexpression and first bad
+    # value as the first failing call of the loop; the numpy reason after
+    # the last ": " may differ, since the single call also sees later points
+    exact = parse_expression("log(t - 0.5)")
+    messages = []
+    for estimate in (derivative_max, _derivative_max_per_offset):
+        with pytest.raises(ExprEvalError) as caught:
+            estimate(lambda x: evaluate(exact, x), order)
+        messages.append(str(caught.value).rsplit(": ", 1)[0])
+    assert messages[0] == messages[1]
+    assert messages[0].startswith("cannot evaluate log(t-0.5) for argument ")
+
+
 def _random_system(kind, m, n, r, q, seed):
     """A system with a smooth random kernel and forcing, for oracle checks."""
     rng = np.random.default_rng(seed)
@@ -416,6 +457,70 @@ def test_jacobian_is_exact_by_polarization(kind, r, q):
         polar = (residual(system, y + d) - residual(system, y - d)) / 2.0
         scale = max(1.0, float(np.max(np.abs(polar))))
         np.testing.assert_allclose(_jacobian(system, y) @ d, polar, rtol=1e-12, atol=1e-12 * scale)
+
+
+def _clear_shape_caches():
+    for cache in (lift_power, solver._lift_rows, solver._carried_hessian):
+        cache.cache_clear()
+
+
+def test_shape_caches_share_no_problem_data():
+    cfg, m, n = BasisConfig(q=4, r=3), 1, 2
+    problems = [
+        (0.8, lambda t, s: np.exp(t - s), (1.0, 0.5)),
+        (-1.7, lambda t, s: np.cos(5 * t * s), (-0.3, 2.0)),
+    ]
+
+    def build(scalar, kernel, ics):
+        return assemble(cfg, "volterra", scalar, kernel, lambda t: np.exp(t), m, n, ics)
+
+    _clear_shape_caches()
+    systems = [build(*problem) for problem in problems]
+    first, second = systems
+    assert first.A is second.A and first.Z0 is second.Z0
+    for order in (m, n):
+        power = lift_map(order, first.ics, cfg)[0]
+        assert power is lift_map(order, second.ics, cfg)[0]
+        with pytest.raises(ValueError, match="read-only"):
+            power[0, 0] = 1.0
+    for shared in (first.A, first.Z0):
+        with pytest.raises(ValueError, match="read-only"):
+            shared.flat[0] = 1.0
+    # each system rebuilt on empty caches, the other one's first
+    for system, problem in zip(systems[::-1], problems[::-1]):
+        _clear_shape_caches()
+        rebuilt = build(*problem)
+        for name in ("a", "C", "W"):
+            np.testing.assert_array_equal(getattr(system, name), getattr(rebuilt, name))
+        np.testing.assert_array_equal(solve(system).Y, solve(rebuilt).Y)
+
+
+def _q_block_W(system):
+    """The Volterra Hessian W with one block per diagonal block of the kernel."""
+    q, r = system.config.q, system.config.r
+    G = system.diagonal.swapaxes(1, 2) @ (system.E @ system.tensor).reshape(r, r * r)
+    W = build_product_tensor(system.config).reshape(r * r, r * r) @ G.reshape(q, r * r, r)
+    return _hessian(W.reshape(q, r, r, r))
+
+
+@pytest.mark.parametrize("r,q", [(3, 4), (12, 4), (4, 32)])
+def test_difference_kernel_builds_one_W_block(r, q):
+    cfg = BasisConfig(q=q, r=r)
+    system = assemble(
+        cfg, "volterra", 1.3, lambda t, s: np.exp(t - s), np.exp, 1, 2, (1.0, 1.0),
+        difference_kernel=True,
+    )
+    assert system.W.shape[0] == 1
+    full = copy.copy(system)
+    full.W = _q_block_W(system)
+    assert full.W.shape[0] == q
+    np.testing.assert_array_equal(full.W, np.broadcast_to(system.W, full.W.shape))
+    y = np.random.default_rng(r + q).uniform(-1.0, 1.0, cfg.dim)
+    np.testing.assert_array_equal(_jacobian(system, y), _jacobian(full, y))
+
+    other = assemble(cfg, "volterra", 1.3, lambda t, s: np.cos(5 * t * s), np.exp, 1, 2, (1.0, 1.0))
+    assert other.W.shape[0] == q
+    np.testing.assert_array_equal(other.W, _q_block_W(other))
 
 
 @settings(deadline=None, max_examples=40)
