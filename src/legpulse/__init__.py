@@ -27,7 +27,7 @@ from .exprlang import (
     to_string,
     variables,
 )
-from .lift import lift, project_initial
+from .lift import lift
 from .opmatrices import (
     build_J,
     build_L,
@@ -97,7 +97,6 @@ __all__ = [
     "parse_expression",
     "parse_problem",
     "project_function",
-    "project_initial",
     "project_kernel",
     "reconstruct",
     "residual",

@@ -32,6 +32,7 @@ from .problems import (
     write_report,
 )
 from .reference import run_all
+from .solver import MAX_ITER, TOL
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -50,8 +51,12 @@ def _build_parser() -> argparse.ArgumentParser:
     solve_cmd.add_argument("file", help="path to a problem file")
     solve_cmd.add_argument("--r", type=int, default=None, help="override the polynomial count r")
     solve_cmd.add_argument("--q", type=int, default=None, help="override the block count q")
-    solve_cmd.add_argument("--tol", type=float, default=1e-12, help="residual tolerance (max-norm)")
-    solve_cmd.add_argument("--max-iter", type=int, default=100, help="Newton iteration limit")
+    solve_cmd.add_argument(
+        "--tol", type=float, default=TOL, help="residual tolerance, max-norm (default %(default)s)"
+    )
+    solve_cmd.add_argument(
+        "--max-iter", type=int, default=MAX_ITER, help="Newton iteration cap (default %(default)s)"
+    )
     solve_cmd.add_argument(
         "--grid-size",
         type=int,

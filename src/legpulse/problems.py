@@ -35,6 +35,8 @@ from .exprlang import (
 )
 from .solver import (
     KINDS,
+    MAX_ITER,
+    TOL,
     FieldError,
     SolveReport,
     assemble,
@@ -244,7 +246,7 @@ class RunOutput:
         return max(errors) if errors else None
 
 
-def run(spec: ProblemSpec, tol: float = 1e-12, max_iter: int = 100) -> RunOutput:
+def run(spec: ProblemSpec, tol: float = TOL, max_iter: int = MAX_ITER) -> RunOutput:
     """Check tol and max_iter, then assemble, solve and tabulate one problem.
 
     A kernel that is a function of t - s alone (exprlang.is_difference_kernel)

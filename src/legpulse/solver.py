@@ -24,9 +24,10 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .basis import BasisConfig, project_function, project_kernel
-from .lift import lift, lift_map, lift_power
+from .lift import lift, lift_offset
 from .opmatrices import (
     _frozen,
+    build_J,
     build_P,
     build_product_tensor,
     build_triple_tensor,
@@ -38,6 +39,9 @@ from .opmatrices import (
 # integral and beta the Volterra one, in the paper and in problem files
 KINDS = {"fredholm": "lambda", "volterra": "beta"}
 
+# solve's default stopping rule, which problems.run and the CLI share
+TOL = 1e-12
+MAX_ITER = 100
 # budget for halving a Newton step that fails to reduce the residual
 _MAX_HALVINGS = 20
 # the exact line search's step is tried only when its model promises a
@@ -111,8 +115,8 @@ class AssembledSystem:
     Fredholm, and E, the (r, r) diagonal block of the integration matrix;
     and the m-th and n-th lifts as one affine map y -> A y + a, grouped by
     block: A[k, :r] and A[k, r:] are the rows of J^m and J^n for block k,
-    shape (q, 2r, dim), and a, shape (q, 2r), holds the lifts of the zero
-    vector from lift_map in the same layout.  Z0 and W (None for Fredholm)
+    shape (q, 2r, dim), and a, shape (q, 2r), holds lift_offset's lifts of the
+    zero vector in the same layout.  Z0 and W (None for Fredholm)
     are the Hessians in w_k = (u_k, v_k), as _hessian describes, of
     D_k e0 = sum_{j,l} u_kj v_kl Z[j, l, :, 0], Z the product tensor, and of
     hat(K_kk D_k E) = sum_{j,l} u_kj v_kl W_k[j, l], W_k[j, l] = hat(K_kk Z[j, l] E).
@@ -154,7 +158,7 @@ class AssembledSystem:
                 raise ValueError(f"{label} was built for {got}, but {self.config} needs {want}")
         self.tensor = build_triple_tensor(self.config)
         self.A = _lift_rows(self.config, self.m, self.n)
-        offsets = [lift_map(k, self.ics, self.config)[1] for k in (self.m, self.n)]
+        offsets = [lift_offset(k, self.ics, self.config) for k in (self.m, self.n)]
         self.a = np.concatenate([b.reshape(q, r) for b in offsets], axis=1)
         self.E = build_P(self.config)[:r, :r]
         self.Z0 = _carried_hessian(self.config)
@@ -177,9 +181,10 @@ class AssembledSystem:
 
 @lru_cache(maxsize=None)
 def _lift_rows(config: BasisConfig, m: int, n: int) -> np.ndarray:
-    """AssembledSystem.A for config, m and n, read-only."""
+    """AssembledSystem.A for config, m and n, read-only: the one cache of J^m, J^n."""
     q, r, dim = config.q, config.r, config.dim
-    rows = [lift_power(config, k).reshape(q, r, dim) for k in (m, n)]
+    J = build_J(config)
+    rows = [np.linalg.matrix_power(J, k).reshape(q, r, dim) for k in (m, n)]
     return _frozen(np.concatenate(rows, axis=1))
 
 
@@ -204,14 +209,18 @@ def _hessian(Q: np.ndarray) -> np.ndarray:
 @dataclass
 class SolveReport:
     """Outcome of a Newton run: the (dim,) solution coefficients plus
-    diagnostics.  reason says why Newton stopped: "converged", "iteration
-    limit", "line search exhausted" or "singular Jacobian"."""
+    diagnostics.  reason says why Newton stopped, and converged is whether
+    it is "converged" rather than "iteration limit", "line search exhausted"
+    or "singular Jacobian"."""
 
     Y: np.ndarray
     iterations: int
     residual_norm: float
-    converged: bool
     reason: str
+
+    @property
+    def converged(self) -> bool:
+        return self.reason == "converged"
 
 
 def assemble(
@@ -413,7 +422,6 @@ def _newton(
         Y=y,
         iterations=iterations,
         residual_norm=norm,
-        converged=converged,
         reason="converged" if converged else reason,
     )
 
@@ -426,7 +434,7 @@ def check_stopping(tol: float, max_iter: int) -> None:
         raise ValueError(f"max_iter must be at least 1, got {max_iter}")
 
 
-def solve(system: AssembledSystem, tol: float = 1e-12, max_iter: int = 100) -> SolveReport:
+def solve(system: AssembledSystem, tol: float = TOL, max_iter: int = MAX_ITER) -> SolveReport:
     """Damped Newton on the residual, starting from Y = F, with an exact
     line search along each step.
 

@@ -7,18 +7,17 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from legpulse.basis import BasisConfig, project_function
-from legpulse.lift import lift, lift_map, project_initial
+from legpulse.lift import lift, lift_offset
 from legpulse.opmatrices import build_J
 
 E = math.e
 
 
-def test_project_initial_fills_constant_slots():
-    cfg = BasisConfig(q=4, r=3)
-    proj = project_initial(2.0, cfg)
-    expected = np.zeros(12)
-    expected[::3] = 2.0
-    np.testing.assert_allclose(proj, expected, atol=0.0)
+def _constant(a, cfg):
+    """Projection of the constant function a: a in every order-0 slot."""
+    coeffs = np.zeros(cfg.dim)
+    coeffs[:: cfg.r] = a
+    return coeffs
 
 
 def test_lift_order_zero_is_identity():
@@ -36,10 +35,10 @@ def test_lift_requires_enough_initial_conditions():
 
 
 @pytest.mark.parametrize("n", [0, 1, 2])
-def test_lift_map_is_the_affine_lift(n):
+def test_lift_offset_is_the_affine_lift(n):
     cfg = BasisConfig(q=3, r=3)
     ics = (0.7, -1.3)
-    A, b = lift_map(n, ics, cfg)
+    A, b = np.linalg.matrix_power(build_J(cfg), n), lift_offset(n, ics, cfg)
     y = np.random.default_rng(n).standard_normal(cfg.dim)
     expected = lift(y, n, ics, cfg)
     np.testing.assert_allclose(A @ y + b, expected, rtol=0, atol=1e-12 * np.abs(expected).max())
@@ -74,7 +73,7 @@ def test_iterated_lift_matches_closed_form(q, r, n, seed):
 
     expected = np.linalg.matrix_power(J, n) @ Y
     for k in range(1, n + 1):
-        y0 = project_initial(ics[n - k], cfg)
+        y0 = _constant(ics[n - k], cfg)
         expected -= np.linalg.matrix_power(J, k) @ y0
     # J^4 entries reach ~1e4 at these shapes, so allow matching relative slack
     np.testing.assert_allclose(lifted, expected, rtol=1e-10, atol=1e-10)

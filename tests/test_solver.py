@@ -11,7 +11,6 @@ from hypothesis import given, settings, strategies as st
 from legpulse import solver
 from legpulse.basis import BasisConfig, project_function, reconstruct
 from legpulse.exprlang import ExprEvalError, evaluate, parse_expression
-from legpulse.lift import lift_map, lift_power
 from legpulse.opmatrices import build_J, build_L, build_P, build_product_tensor
 from legpulse.solver import (
     _cubic_roots,
@@ -460,7 +459,7 @@ def test_jacobian_is_exact_by_polarization(kind, r, q):
 
 
 def _clear_shape_caches():
-    for cache in (lift_power, solver._lift_rows, solver._carried_hessian):
+    for cache in (solver._lift_rows, solver._carried_hessian):
         cache.cache_clear()
 
 
@@ -478,11 +477,10 @@ def test_shape_caches_share_no_problem_data():
     systems = [build(*problem) for problem in problems]
     first, second = systems
     assert first.A is second.A and first.Z0 is second.Z0
-    for order in (m, n):
-        power = lift_map(order, first.ics, cfg)[0]
-        assert power is lift_map(order, second.ics, cfg)[0]
-        with pytest.raises(ValueError, match="read-only"):
-            power[0, 0] = 1.0
+    # A holds J^m in each block's first r rows and J^n in its last r
+    for half, order in enumerate((m, n)):
+        rows = first.A[:, half * cfg.r : (half + 1) * cfg.r].reshape(cfg.dim, cfg.dim)
+        np.testing.assert_array_equal(rows, np.linalg.matrix_power(build_J(cfg), order))
     for shared in (first.A, first.Z0):
         with pytest.raises(ValueError, match="read-only"):
             shared.flat[0] = 1.0
