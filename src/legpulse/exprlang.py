@@ -11,14 +11,18 @@ Grammar (whitespace between tokens is ignored):
 "^" is right associative and binds tighter than unary minus, so -t^2
 means -(t^2), while 2^-3 and 2^3^2 parse as expected.  The variables
 are t and s, the constants pi and e are predefined, and the available
-functions are sin, cos, exp, log, sqrt and abs.
+functions are sin, cos, exp, log, sqrt and abs.  Each pair of
+parentheses, call, unary minus and binary operator is one level over the
+levels it contains, and a syntax error names the token at which an
+expression first nests deeper than _MAX_DEPTH levels.
 """
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
-from typing import Iterator, Optional, Union
+from typing import Optional, Union
 
 import numpy as np
 from numpy.typing import ArrayLike
@@ -65,7 +69,7 @@ class Num:
     value: float
 
     def __post_init__(self):
-        if not np.isfinite(self.value):
+        if not math.isfinite(self.value):
             raise ValueError(f"numeric literal must be finite, got {self.value}")
 
 
@@ -100,128 +104,124 @@ _TOKEN_RE = re.compile(
     | (?P<IDENT>[A-Za-z_][A-Za-z_0-9]*)
     | (?P<OP>[-+*/^()])
     | (?P<WS>\s+)
+    | (?P<STRAY>.)
     """,
-    re.VERBOSE,
+    re.VERBOSE | re.DOTALL,
 )
 
+_PRECEDENCE = {"+": 1, "-": 1, "*": 2, "/": 2, "^": 4}
+_NEG_PRECEDENCE = 3
+_ATOM_PRECEDENCE = 9
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str
-    text: str
-    position: int
-
-
-def _tokenize(source: str) -> Iterator[_Token]:
-    pos = 0
-    while pos < len(source):
-        match = _TOKEN_RE.match(source, pos)
-        if match is None:
-            raise ExprSyntaxError(f"unexpected character {source[pos]!r}", pos)
-        kind = match.lastgroup
-        if kind != "WS":
-            yield _Token(kind, match.group(), match.start())
-        pos = match.end()
-    yield _Token("END", "", len(source))
+# The tree walkers below recurse once per level (to_string twice) and the
+# parser at most three times, so all stay inside Python's recursion limit.
+_MAX_DEPTH = 200
 
 
-class _Parser:
+class _ExprParser:
+    """Recursive descent over (kind, text, position) tokens.
+
+    depth counts the levels that enclose the current token; reach is the
+    deepest level of the subtree parsed last, which a binary operator pushes
+    one level down when it takes that subtree as its left operand.
+    """
+
+    __slots__ = ("tokens", "index", "kind", "text", "position", "depth", "reach")
+
     def __init__(self, source: str):
-        self.tokens = list(_tokenize(source))
-        self.index = 0
+        # the whole text is tokenized first, so a stray character is
+        # reported before any grammar error
+        self.tokens = []
+        for match in _TOKEN_RE.finditer(source):
+            kind = match.lastgroup
+            if kind == "STRAY":
+                raise ExprSyntaxError(f"unexpected character {match.group()!r}", match.start())
+            if kind != "WS":
+                self.tokens.append((kind, match.group(), match.start()))
+        self.tokens.append(("END", "", len(source)))
+        self.kind, self.text, self.position = self.tokens[0]
+        self.index = self.depth = self.reach = 0
 
-    @property
-    def current(self) -> _Token:
-        return self.tokens[self.index]
-
-    def advance(self) -> _Token:
-        token = self.current
+    def advance(self) -> None:
         self.index += 1
-        return token
+        self.kind, self.text, self.position = self.tokens[self.index]
 
-    def at_op(self, chars: str) -> bool:
-        return self.current.kind == "OP" and self.current.text in chars
-
-    def expect_op(self, char: str) -> None:
-        if not self.at_op(char):
-            raise ExprSyntaxError(
-                f"expected {char!r}", self.current.position
-            )
+    def enter(self, level: int) -> None:
+        """Step past the current token, which opens a level at `level`."""
+        if level > _MAX_DEPTH:
+            message = f"expression nested deeper than {_MAX_DEPTH} levels"
+            raise ExprSyntaxError(message, self.position)
+        self.depth += 1
         self.advance()
 
     def parse(self) -> Expr:
-        node = self.expr()
-        if self.current.kind != "END":
-            raise ExprSyntaxError(
-                f"unexpected trailing input {self.current.text!r}",
-                self.current.position,
-            )
+        node = self.expr(1)
+        if self.kind != "END":
+            raise ExprSyntaxError(f"unexpected trailing input {self.text!r}", self.position)
         return node
 
-    def expr(self) -> Expr:
-        node = self.term()
-        while self.at_op("+-"):
-            op = self.advance().text
-            node = BinOp(op, node, self.term())
-        return node
-
-    def term(self) -> Expr:
+    def expr(self, floor: int) -> Expr:
+        """A left-associative chain of the + - * / operators that bind at
+        least as tightly as floor; "^" never gets here, as unary takes it."""
         node = self.unary()
-        while self.at_op("*/"):
-            op = self.advance().text
-            node = BinOp(op, node, self.unary())
+        while _PRECEDENCE.get(self.text, 0) >= floor:
+            node = self.binary(node)
+        return node
+
+    def binary(self, left: Expr) -> Expr:
+        """left, the operator at the current token and its right operand, a
+        chain of tighter operators only; above "^" there are none, so the
+        operand of "^" is a unary, and "^" is right associative."""
+        op, reach = self.text, self.reach + 1
+        self.enter(reach)
+        node = BinOp(op, left, self.expr(_PRECEDENCE[op] + 1))
+        self.depth -= 1
+        self.reach = max(reach, self.reach)
         return node
 
     def unary(self) -> Expr:
-        if self.at_op("-"):
-            self.advance()
-            return Neg(self.unary())
-        return self.power()
-
-    def power(self) -> Expr:
+        if self.text == "-":
+            self.enter(self.depth + 1)
+            node = Neg(self.unary())
+            self.depth -= 1
+            return node
         node = self.atom()
-        if self.at_op("^"):
-            self.advance()
-            node = BinOp("^", node, self.unary())
+        if self.text == "^":
+            node = self.binary(node)
         return node
 
     def atom(self) -> Expr:
-        token = self.current
-        if token.kind == "NUMBER":
+        kind, text, position = self.kind, self.text, self.position
+        self.reach = self.depth
+        if kind == "NUMBER":
             self.advance()
-            value = float(token.text)
-            if not np.isfinite(value):
-                raise ExprSyntaxError(
-                    f"numeric literal {token.text!r} is not finite", token.position
-                )
+            value = float(text)
+            if not math.isfinite(value):
+                raise ExprSyntaxError(f"numeric literal {text!r} is not finite", position)
             return Num(value)
-        if token.kind == "IDENT":
+        if kind == "IDENT":
             self.advance()
-            if self.at_op("("):
-                if token.text not in FUNCTIONS:
-                    raise UnknownIdentifier(
-                        f"unknown function {token.text!r}", token.position
-                    )
-                self.advance()
-                arg = self.expr()
-                self.expect_op(")")
-                return Call(token.text, arg)
-            if token.text in VARIABLES or token.text in CONSTANTS:
-                return Name(token.text)
-            raise UnknownIdentifier(f"unknown name {token.text!r}", token.position)
-        if self.at_op("("):
-            self.advance()
-            node = self.expr()
-            self.expect_op(")")
-            return node
-        raise ExprSyntaxError(
-            "expected a number, name or parenthesized expression", token.position
-        )
+            if self.text != "(":
+                if text in VARIABLES or text in CONSTANTS:
+                    return Name(text)
+                raise UnknownIdentifier(f"unknown name {text!r}", position)
+            if text not in FUNCTIONS:
+                raise UnknownIdentifier(f"unknown function {text!r}", position)
+        elif text != "(":
+            raise ExprSyntaxError("expected a number, name or parenthesized expression", position)
+        # "(" expr ")", the argument of a call or a group, one level deeper
+        self.enter(self.depth + 1)
+        node = self.expr(1)
+        if self.text != ")":
+            raise ExprSyntaxError("expected ')'", self.position)
+        self.depth -= 1
+        self.advance()
+        return Call(text, node) if kind == "IDENT" else node
 
 
 def parse_expression(source: str) -> Expr:
     """Parse source text into an expression tree."""
-    return _Parser(source).parse()
+    return _ExprParser(source).parse()
 
 
 def evaluate(expr: Expr, t: ArrayLike, s: Optional[ArrayLike] = None):
@@ -248,7 +248,7 @@ def _evaluate(expr: Expr, t: np.ndarray, s: Optional[np.ndarray]):
     if isinstance(expr, Name):
         if expr.ident == "s" and s is None:
             raise ExprEvalError("variable 's' is not bound in this context")
-        return dict(CONSTANTS, t=t, s=s)[expr.ident]
+        return t if expr.ident == "t" else s if expr.ident == "s" else CONSTANTS[expr.ident]
     if isinstance(expr, Neg):
         return -_evaluate(expr.operand, t, s)
     if isinstance(expr, Call):
@@ -273,11 +273,6 @@ def _apply(ufunc: np.ufunc, expr: Expr, label: str, *operands):
         raise ExprEvalError(
             f"cannot evaluate {to_string(expr)} for {label} {values}: {exc}"
         ) from exc
-
-
-_PRECEDENCE = {"+": 1, "-": 1, "*": 2, "/": 2, "^": 4}
-_NEG_PRECEDENCE = 3
-_ATOM_PRECEDENCE = 9
 
 
 def _precedence(expr: Expr) -> int:

@@ -1,6 +1,10 @@
 """Expression language: parsing, evaluation, errors and round-tripping."""
 
 import math
+import re
+import string
+from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 import pytest
@@ -8,6 +12,9 @@ from hypothesis import given, settings, strategies as st
 
 from legpulse.basis import BasisConfig, project_function, project_kernel
 from legpulse.exprlang import (
+    _MAX_DEPTH,
+    CONSTANTS,
+    VARIABLES,
     BinOp,
     Call,
     ExprEvalError,
@@ -308,3 +315,245 @@ def test_constant_forcing_projects_like_one_variable_form():
 )
 def test_is_difference_kernel(source, expected):
     assert is_difference_kernel(parse_expression(source)) is expected
+
+
+# The recursive-descent parser that parse_expression replaced, one method per
+# grammar level, kept as the oracle for the differential tests below.  It has
+# no depth bound: it overflows the stack from about 200 nested parentheses.
+_ORACLE_TOKEN_RE = re.compile(
+    r"""
+      (?P<NUMBER>(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)
+    | (?P<IDENT>[A-Za-z_][A-Za-z_0-9]*)
+    | (?P<OP>[-+*/^()])
+    | (?P<WS>\s+)
+    """,
+    re.VERBOSE,
+)
+
+
+@dataclass(frozen=True)
+class _Token:
+    kind: str
+    text: str
+    position: int
+
+
+def _tokenize(source: str) -> Iterator[_Token]:
+    pos = 0
+    while pos < len(source):
+        match = _ORACLE_TOKEN_RE.match(source, pos)
+        if match is None:
+            raise ExprSyntaxError(f"unexpected character {source[pos]!r}", pos)
+        kind = match.lastgroup
+        if kind != "WS":
+            yield _Token(kind, match.group(), match.start())
+        pos = match.end()
+    yield _Token("END", "", len(source))
+
+
+class _Parser:
+    def __init__(self, source: str):
+        self.tokens = list(_tokenize(source))
+        self.index = 0
+
+    @property
+    def current(self) -> _Token:
+        return self.tokens[self.index]
+
+    def advance(self) -> _Token:
+        token = self.current
+        self.index += 1
+        return token
+
+    def at_op(self, chars: str) -> bool:
+        return self.current.kind == "OP" and self.current.text in chars
+
+    def expect_op(self, char: str) -> None:
+        if not self.at_op(char):
+            raise ExprSyntaxError(f"expected {char!r}", self.current.position)
+        self.advance()
+
+    def parse(self):
+        node = self.expr()
+        if self.current.kind != "END":
+            raise ExprSyntaxError(
+                f"unexpected trailing input {self.current.text!r}", self.current.position
+            )
+        return node
+
+    def expr(self):
+        node = self.term()
+        while self.at_op("+-"):
+            op = self.advance().text
+            node = BinOp(op, node, self.term())
+        return node
+
+    def term(self):
+        node = self.unary()
+        while self.at_op("*/"):
+            op = self.advance().text
+            node = BinOp(op, node, self.unary())
+        return node
+
+    def unary(self):
+        if self.at_op("-"):
+            self.advance()
+            return Neg(self.unary())
+        return self.power()
+
+    def power(self):
+        node = self.atom()
+        if self.at_op("^"):
+            self.advance()
+            node = BinOp("^", node, self.unary())
+        return node
+
+    def atom(self):
+        token = self.current
+        if token.kind == "NUMBER":
+            self.advance()
+            value = float(token.text)
+            if not np.isfinite(value):
+                raise ExprSyntaxError(f"numeric literal {token.text!r} is not finite", token.position)
+            return Num(value)
+        if token.kind == "IDENT":
+            self.advance()
+            if self.at_op("("):
+                if token.text not in FUNCTIONS:
+                    raise UnknownIdentifier(f"unknown function {token.text!r}", token.position)
+                self.advance()
+                arg = self.expr()
+                self.expect_op(")")
+                return Call(token.text, arg)
+            if token.text in VARIABLES or token.text in CONSTANTS:
+                return Name(token.text)
+            raise UnknownIdentifier(f"unknown name {token.text!r}", token.position)
+        if self.at_op("("):
+            self.advance()
+            node = self.expr()
+            self.expect_op(")")
+            return node
+        raise ExprSyntaxError("expected a number, name or parenthesized expression", token.position)
+
+
+def assert_parses_like_the_oracle(source):
+    try:
+        expected = _Parser(source).parse()
+    except ExprSyntaxError as exc:
+        with pytest.raises(ExprSyntaxError) as info:
+            parse_expression(source)
+        got = info.value
+        assert (type(got), str(got), got.position) == (type(exc), str(exc), exc.position)
+    else:
+        assert parse_expression(source) == expected
+
+
+ORACLE_CASES = [
+    "",
+    "   ",
+    "2e",
+    "1.e3",
+    ".5e-3",
+    "2^-3^2",
+    "-2*3",
+    "té",
+    "exp(t) $ (",
+    "t) $",
+    "t)",
+    "2 3",
+    "1e999",
+    "tan(t)",
+    "2**t",
+]
+
+
+@pytest.mark.parametrize("source", ORACLE_CASES)
+def test_parser_matches_the_oracle_on_edge_cases(source):
+    assert_parses_like_the_oracle(source)
+
+
+# single characters (٣ is an Arabic-Indic digit, which \d matches, and
+# \u00a0 a no-break space, which \s matches), and tokens, so that both stray
+# characters and well-formed grammar are common
+CHARACTERS = st.sampled_from(
+    list(string.digits + ".eE+-*/^()" + string.ascii_letters + "é٣$ \t\u00a0")
+)
+TOKENS = st.sampled_from(
+    ["t", "s", "pi", "e", "sin", "exp(", "abs(", "(", ")", "+", "-", "*", "/", "^", "2", "0.5", "1e3", ".5", " "]
+)
+SOURCES = st.one_of(
+    st.text(CHARACTERS, max_size=40), st.lists(TOKENS, max_size=30).map("".join)
+)
+
+
+@settings(deadline=None, max_examples=1000)
+@given(source=SOURCES)
+def test_parser_matches_the_oracle_on_random_text(source):
+    assert_parses_like_the_oracle(source)
+
+
+@settings(deadline=None, max_examples=200)
+@given(tree=ast_strategy())
+def test_parser_matches_the_oracle_on_printed_trees(tree):
+    assert_parses_like_the_oracle(to_string(tree))
+
+
+# each shape nests k levels of parentheses, calls, unary minus signs,
+# exponents or the operators of one + chain, paired with the position of the
+# token that opens level k
+NESTED = {
+    "parentheses": (lambda k: "(" * k + "t" + ")" * k, lambda k: k - 1),
+    "calls": (lambda k: "abs(" * k + "t" + ")" * k, lambda k: 4 * k - 1),
+    "minus": (lambda k: "-" * k + "t", lambda k: k - 1),
+    "exponents": (lambda k: "t" + "^1" * k, lambda k: 2 * k - 1),
+    "sum": (lambda k: "t" + "+t" * k, lambda k: 2 * k - 1),
+}
+
+
+@pytest.mark.parametrize("shape", sorted(NESTED))
+def test_nesting_at_the_bound_parses_evaluates_and_prints(shape):
+    source, _ = NESTED[shape]
+    tree = parse_expression(source(_MAX_DEPTH))
+    expected = {"sum": 0.5 * (_MAX_DEPTH + 1), "minus": 0.5 * (-1) ** _MAX_DEPTH}.get(shape, 0.5)
+    assert evaluate(tree, 0.5) == expected
+    assert variables(tree) == frozenset({"t"})
+    assert is_difference_kernel(tree) is False
+    assert parse_expression(to_string(tree)) == tree
+
+
+@pytest.mark.parametrize("shape", sorted(NESTED))
+def test_nesting_past_the_bound_is_a_syntax_error_at_the_crossing_token(shape):
+    source, crossing = NESTED[shape]
+    for k in (_MAX_DEPTH + 1, 10_000):
+        with pytest.raises(ExprSyntaxError) as info:
+            parse_expression(source(k))
+        assert info.value.message == f"expression nested deeper than {_MAX_DEPTH} levels"
+        assert info.value.position == crossing(_MAX_DEPTH + 1)
+
+
+def test_a_binary_operator_pushes_its_left_operand_one_level_down():
+    # the + chain's first operand is _MAX_DEPTH - 1 calls deep, so its first
+    # "+" is the last level that fits, and a second one crosses the bound
+    deep = "abs(" * (_MAX_DEPTH - 1) + "t" + ")" * (_MAX_DEPTH - 1)
+    tree = parse_expression(deep + " + t")
+    assert to_string(tree).count("abs(") == _MAX_DEPTH - 1
+    with pytest.raises(ExprSyntaxError, match="nested deeper") as info:
+        parse_expression(deep + " + t - t")
+    assert info.value.position == len(deep) + 5
+    # the same holds when the deep operand came in on the right of the first "+"
+    assert parse_expression("t + " + deep) == BinOp("+", Name("t"), tree.left)
+    with pytest.raises(ExprSyntaxError, match="nested deeper") as info:
+        parse_expression("t + " + deep + " - t")
+    assert info.value.position == len(deep) + 5
+    with pytest.raises(ExprSyntaxError, match="nested deeper") as info:
+        parse_expression(f"({deep})^2^2 * 2")
+    assert info.value.position == len(deep) + 2
+
+
+def test_sibling_groups_do_not_add_up():
+    # 256 parenthesized leaves in a balanced sum nest 25 levels
+    source = "(t)"
+    for _ in range(8):
+        source = f"({source} + -{source})"
+    assert_parses_like_the_oracle(source)
+    assert source.count("(") > _MAX_DEPTH

@@ -365,6 +365,25 @@ def test_cli_rejects_non_finite_numbers_with_line(tmp_path, capsys, old, new, li
     assert captured.err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "f",
+    ["(" * 10_000 + "t" + ")" * 10_000, "-" * 10_000 + "t", "t" + "+t" * 10_000],
+    ids=["parentheses", "minus", "sum"],
+)
+def test_cli_rejects_a_deeply_nested_formula_with_one_line(tmp_path, capsys, f):
+    # each overflowed the parser or exprlang.variables with a RecursionError
+    from pathlib import Path
+
+    text = (Path(__file__).resolve().parent.parent / "problems" / "fredholm_exp.prob").read_text()
+    problem = tmp_path / "deep.prob"
+    problem.write_text(text.replace("f = e^(t + 1)", f"f = {f}"))
+    code = main(["solve", str(problem)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith(f"{problem}:10: in f: expression nested deeper than ")
+    assert captured.err.count("\n") == 1
+
+
 def test_cli_rejects_missing_file(tmp_path, capsys):
     code = main(["solve", str(tmp_path / "absent.prob")])
     captured = capsys.readouterr()
@@ -699,6 +718,34 @@ def test_smooth_kernel_solution_is_recovered():
     output = run(parse_problem(SMOOTH_KERNEL_SPURIOUS_ROOT_TEXT))
     assert output.report.converged
     assert output.max_abs_error <= 1e-4
+
+
+# y = 1 lies in the basis span, but the kernel exp(-|t - s|) has a kink along
+# t = s, which the tensor Gauss rule on each diagonal block does not resolve:
+# the grid error is 1.5e-5 at (3, 4), 1.6e-6 at (3, 12) and 1.0e-7 at (3, 48),
+# falling as q^-2 whatever r is
+KINKED_KERNEL_TEXT = """\
+kind = fredholm
+lambda = 0.5
+kernel = exp(-abs(t - s))
+f = 1 + 0.5*(2 - exp(-t) - exp(t - 1))
+m = 0
+n = 0
+r = 3
+q = 12
+exact = 1
+"""
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="the tensor Gauss rule integrates a kernel's kink along t = s only to "
+    "O(q^-2); a rule split along t = s would resolve it",
+)
+def test_kinked_kernel_solution_in_basis_span_is_recovered():
+    output = run(parse_problem(KINKED_KERNEL_TEXT))
+    assert output.report.converged
+    assert output.max_abs_error <= 1e-12
 
 
 # problem 410 of the benchmark's volterra-deep stream at seed 3: Newton from
