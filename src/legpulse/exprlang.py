@@ -312,17 +312,22 @@ def to_string(expr: Expr) -> str:
     return _wrap(expr.left, prec, False) + expr.op + _wrap(expr.right, prec, True)
 
 
+def _children(expr: Expr) -> tuple:
+    """The direct subexpressions of expr, left to right."""
+    if isinstance(expr, Neg):
+        return (expr.operand,)
+    if isinstance(expr, Call):
+        return (expr.arg,)
+    if isinstance(expr, BinOp):
+        return (expr.left, expr.right)
+    return ()
+
+
 def variables(expr: Expr) -> frozenset:
     """The set of variable names ('t', 's') the expression reads."""
     if isinstance(expr, Name):
         return frozenset({expr.ident}) if expr.ident in VARIABLES else frozenset()
-    if isinstance(expr, Neg):
-        return variables(expr.operand)
-    if isinstance(expr, Call):
-        return variables(expr.arg)
-    if isinstance(expr, BinOp):
-        return variables(expr.left) | variables(expr.right)
-    return frozenset()
+    return frozenset().union(*map(variables, _children(expr)))
 
 
 _DIFFERENCES = (BinOp("-", Name("t"), Name("s")), BinOp("-", Name("s"), Name("t")))
@@ -335,10 +340,4 @@ def is_difference_kernel(expr: Expr) -> bool:
         return True
     if isinstance(expr, Name):
         return expr.ident not in VARIABLES
-    if isinstance(expr, Neg):
-        return is_difference_kernel(expr.operand)
-    if isinstance(expr, Call):
-        return is_difference_kernel(expr.arg)
-    if isinstance(expr, BinOp):
-        return is_difference_kernel(expr.left) and is_difference_kernel(expr.right)
-    return True
+    return all(map(is_difference_kernel, _children(expr)))

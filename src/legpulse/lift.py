@@ -1,11 +1,11 @@
 """Derivative lift: coefficients of y^(n) from the coefficients of y.
 
 Writing Y0^(i) for the projection of the constant y^(i)(0), the lift is the
-recursion Y^(i+1) = J (Y^(i) - Y0^(i)) with J = build_J(config), the inverse
-transpose of the integration matrix; unrolled it reads
-J^n Y - sum_{k=1..n} J^k Y0^(n-k), the affine map J^n Y + lift_offset.  The
-initial conditions are a plain sequence of floats a_i = y^(i)(0).  lift
-applies the recursion to one vector, and lift_offset to the zero vector.
+recursion Y^(i+1) = J (Y^(i) - Y0^(i)) with J = build_J(config), (P^T)^-1 in
+closed form; unrolled it reads J^n Y - sum_{k=1..n} J^k Y0^(n-k), the affine
+map J^n Y + lift_offset.  The initial conditions are a plain sequence of
+floats a_i = y^(i)(0).  lift applies the recursion to one vector, and
+lift_offset to the zero vector.
 """
 
 from __future__ import annotations

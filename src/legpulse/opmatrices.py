@@ -1,14 +1,14 @@
 """Operational matrices of the hybrid basis.
 
 P maps the coefficients of a function to (approximate) coefficients of its
-running integral; L is the diagonal Gram matrix; J = (P^T)^-1 drives the
-derivative lift. Multiplication of two basis expansions is captured by a
-block-local tensor of normalized triple products, from which the coefficient
-matrix of a vector and the row vector of a quadratic form are assembled for
-arbitrary (r, q). Both work block by block and accept leading batch axes.
-The product tensor holds the block product of two coefficient matrices as a
-bilinear form in the two vectors, from which Newton's Jacobian is built.
-The triple products are Gauss-Legendre sums, with nodes, weights and
+running integral; L is the diagonal Gram matrix; J = (P^T)^-1, in closed form,
+drives the derivative lift. Multiplication of two basis expansions is captured
+by a block-local tensor of normalized triple products, from which the
+coefficient matrix of a vector and the row vector of a quadratic form are
+assembled for arbitrary (r, q). Both work block by block and accept leading
+batch axes. The product tensor holds the block product of two coefficient
+matrices as a bilinear form in the two vectors, from which Newton's Jacobian
+is built. The triple products are Gauss-Legendre sums, with nodes, weights and
 Legendre values taken from numpy.polynomial.legendre.
 
 The build_* functions depend on the config alone, so each result is built
@@ -27,8 +27,6 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss, legvander
 
 from .basis import BasisConfig
-
-_INVERSE_RESIDUAL_TOL = 1e-10
 
 
 def _integration_block(r: int, q: int) -> np.ndarray:
@@ -84,20 +82,23 @@ def build_L(config: BasisConfig) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def build_J(config: BasisConfig) -> np.ndarray:
-    """Inverse transpose of the integration matrix, (dim, dim), residual-verified.
+    """Inverse transpose of the integration matrix, (dim, dim): (P^T)^-1 exactly.
 
-    Dense LU with partial pivoting (LAPACK); raises LinAlgError on a singular
-    factorization and ArithmeticError if the inverse fails the 1e-10 residual
-    check. Neither is expected for any valid config.
+    With Lambda = diag(1, 3, ..., 2r - 1), p = (r - 1) mod 2 and N[i, j] = 1 if
+    j > i and j = p (mod 2), (-1)^(i-j) if j <= i and i = p (mod 2), else 0,
+    D = Lambda N is the integer matrix (2q E)^-T, E = _integration_block(r, q).
+    With T[k, l] = (-1)^(r(k-l-1)) if k > l, else 0, J / (2q) is the integer
+    matrix I_q kron D - 2 T kron D[:, 0] D[0, :], exact in float64; no build fails.
     """
-    P = build_P(config)
-    J = np.linalg.inv(P.T)
-    residual = np.max(np.abs(J @ P.T - np.eye(config.dim)))
-    if residual > _INVERSE_RESIDUAL_TOL:
-        raise ArithmeticError(
-            f"inverse of P^T failed the residual check: {residual:.3e}"
-        )
-    return _frozen(J)
+    r, q = config.r, config.q
+    i, j = np.indices((r, r))
+    p = (r - 1) % 2
+    N = np.where(j > i, j % 2 == p, np.where(i % 2 == p, (-1.0) ** (i - j), 0.0))
+    D = (2 * i + 1) * N
+    k, l = np.indices((q, q))
+    T = np.where(k > l, (-1.0) ** (r * (k - l - 1)), 0.0)
+    J = np.kron(np.eye(q), D) - 2.0 * np.kron(T, np.outer(D[:, 0], D[0]))
+    return _frozen(2.0 * q * J)
 
 
 @lru_cache(maxsize=None)

@@ -317,6 +317,43 @@ def test_is_difference_kernel(source, expected):
     assert is_difference_kernel(parse_expression(source)) is expected
 
 
+# variables and is_difference_kernel as they were before _children, each with
+# its own descent through Neg, Call and BinOp, kept as the oracle for the test
+# below
+def _oracle_variables(expr):
+    if isinstance(expr, Name):
+        return frozenset({expr.ident}) if expr.ident in VARIABLES else frozenset()
+    if isinstance(expr, Neg):
+        return _oracle_variables(expr.operand)
+    if isinstance(expr, Call):
+        return _oracle_variables(expr.arg)
+    if isinstance(expr, BinOp):
+        return _oracle_variables(expr.left) | _oracle_variables(expr.right)
+    return frozenset()
+
+
+def _oracle_is_difference_kernel(expr):
+    if expr in (BinOp("-", Name("t"), Name("s")), BinOp("-", Name("s"), Name("t"))):
+        return True
+    if isinstance(expr, Name):
+        return expr.ident not in VARIABLES
+    if isinstance(expr, Neg):
+        return _oracle_is_difference_kernel(expr.operand)
+    if isinstance(expr, Call):
+        return _oracle_is_difference_kernel(expr.arg)
+    if isinstance(expr, BinOp):
+        left, right = expr.left, expr.right
+        return _oracle_is_difference_kernel(left) and _oracle_is_difference_kernel(right)
+    return True
+
+
+@settings(deadline=None, max_examples=300)
+@given(tree=ast_strategy())
+def test_tree_queries_match_the_oracle(tree):
+    assert variables(tree) == _oracle_variables(tree)
+    assert is_difference_kernel(tree) is _oracle_is_difference_kernel(tree)
+
+
 # The recursive-descent parser that parse_expression replaced, one method per
 # grammar level, kept as the oracle for the differential tests below.  It has
 # no depth bound: it overflows the stack from about 200 nested parentheses.

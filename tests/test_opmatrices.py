@@ -55,6 +55,47 @@ def test_lift_matrix_inverts_transposed_integration():
         np.testing.assert_allclose(product, np.eye(cfg.dim), atol=1e-10)
 
 
+_J_SHAPES = [(r, q) for r in range(1, 41) for q in (1, 2, 3, 4, 7, 12)]
+_J_SHAPES += [(8, 64), (4, 128), (16, 32), (30, 2)]
+
+
+def _scaled_block_inverse(r):
+    """Lambda N, the integer matrix (2q E)^-T, entry by entry from its definition."""
+    p = (r - 1) % 2
+    D = np.zeros((r, r))
+    for i in range(r):
+        for j in range(r):
+            if j > i and j % 2 == p:
+                D[i, j] = 2 * i + 1
+            elif j <= i and i % 2 == p:
+                D[i, j] = (2 * i + 1) * (-1) ** (i - j)
+    return D
+
+
+@pytest.mark.parametrize("r, q", _J_SHAPES)
+def test_lift_matrix_is_the_exact_inverse(r, q):
+    # the dense LU inverse of P^T is the oracle; the closed form is exact, so
+    # J / (2q) is an integer matrix, which the LU inverse's rounding is not
+    cfg = BasisConfig(q=q, r=r)
+    J, P = build_J(cfg), build_P(cfg)
+    scaled = J / (2 * q)
+    np.testing.assert_array_equal(scaled, np.round(scaled))
+    assert np.max(np.abs(J @ P.T - np.eye(cfg.dim))) <= 1e-13
+    assert np.max(np.abs(J - np.linalg.inv(P.T))) <= 1e-14 * np.max(np.abs(J))
+    # diagonal blocks Lambda N, zero above the diagonal, and +-2 outer(D[:, 0], D[0])
+    # below it
+    D = _scaled_block_inverse(r)
+    blocks = scaled.reshape(q, r, q, r).swapaxes(1, 2)
+    outer = 2.0 * np.outer(D[:, 0], D[0])
+    for k in range(q):
+        np.testing.assert_array_equal(blocks[k, k], D)
+        for l in range(k + 1, q):
+            assert not blocks[k, l].any()
+        for l in range(k):
+            block = blocks[k, l]
+            assert np.array_equal(block, outer) or np.array_equal(block, -outer)
+
+
 def test_integration_rows_are_cumulative_integral_projections():
     # row i of P must equal the projection of t -> integral of b_i over [0, t]
     for q, r in [(1, 3), (2, 2), (3, 4)]:

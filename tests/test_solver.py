@@ -463,6 +463,16 @@ def _clear_shape_caches():
         cache.cache_clear()
 
 
+@pytest.mark.parametrize("r, q", [(3, 12), (12, 4), (8, 64)])
+def test_lift_rows_are_integer_multiples_of_powers_of_2q(r, q):
+    # J / (2q) is an integer matrix, so the rows of J^k / (2q)^k are too
+    cfg = BasisConfig(q=q, r=r)
+    A = solver._lift_rows(cfg, 1, 2)
+    for k, half in ((1, A[:, :r]), (2, A[:, r:])):
+        scaled = half / (2 * q) ** k
+        np.testing.assert_array_equal(scaled, np.round(scaled))
+
+
 def test_shape_caches_share_no_problem_data():
     cfg, m, n = BasisConfig(q=4, r=3), 1, 2
     problems = [
