@@ -4,8 +4,8 @@ The basis splits [0, 1) into q equal half-open subintervals (blocks) and
 carries the Legendre polynomials of orders 0 .. r-1 on each, rescaled by the
 affine map x = 2qt - 2k + 1 that sends block k to [-1, 1]. Coefficients are
 stored block-major: entry (k-1)*r + m belongs to order m on block k.
-Legendre values and the per-block Gauss-Legendre rules of the projections
-come from numpy.polynomial.legendre (legvander and leggauss).
+Legendre values come from their three-term recurrence, and the Gauss-Legendre
+rules of the projections and of the triple tensor from Newton's method on p_n.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ from functools import lru_cache
 from typing import Callable
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss, legvander
 from numpy.typing import ArrayLike
 
 
@@ -50,6 +49,43 @@ class BasisConfig:
 _KERNEL_SAMPLES = 16_000
 
 
+def _legendre_values(x: np.ndarray, deg: int) -> np.ndarray:
+    """p_0(x) .. p_deg(x), shape x.shape + (deg + 1,), from the recurrence
+    (k + 1) p_{k+1} = (2k + 1) x p_k - k p_{k-1}: numpy's legvander, written
+    out with its order of operations, so its values are bit for bit the same."""
+    v = np.empty((deg + 1,) + x.shape)
+    v[0] = 1.0
+    if deg > 0:
+        v[1] = x
+    for k in range(2, deg + 1):
+        v[k] = (v[k - 1] * x * (2 * k - 1) - v[k - 2] * (k - 1)) / k
+    return np.moveaxis(v, 0, -1)
+
+
+def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Increasing nodes and weights of the n-point Gauss-Legendre rule on [-1, 1]:
+    Newton's method on p_n from x_k = -cos(pi (k - 1/4) / (n + 1/2)), with
+    p_n' = n (p_{n-1} - x p_n) / (1 - x^2), until a step is below 1e-14 (else
+    ArithmeticError); the weights 2 / ((1 - x^2) p_n'^2) are taken at the converged
+    nodes.  Nodes are made exactly antisymmetric, weights exactly symmetric and
+    summing to 2.
+    """
+    x = -np.cos(np.pi * (np.arange(1, n + 1) - 0.25) / (n + 0.5))
+    dx = np.inf
+    for _ in range(10):  # every n up to 1000 converges in 4 steps
+        p = _legendre_values(x, n)
+        dp = n * (p[:, n - 1] - x * p[:, n]) / (1.0 - x * x)
+        if np.max(np.abs(dx)) <= 1e-14:
+            break  # quadratic convergence: x is at rounding, and dp is taken there
+        dx = p[:, n] / dp
+        x = x - dx
+    else:
+        raise ArithmeticError(f"{n}-point Gauss-Legendre nodes did not converge")
+    w = 2.0 / ((1.0 - x * x) * dp * dp)
+    x, w = (x - x[::-1]) / 2.0, (w + w[::-1]) / 2.0
+    return x, w * (2.0 / w.sum())
+
+
 @lru_cache(maxsize=None)
 def _projection_data(config: BasisConfig):
     """Per-block quadrature nodes, weights and Legendre values, cached.
@@ -57,10 +93,10 @@ def _projection_data(config: BasisConfig):
     Returns (ts, w, leg, scale) with ts[k-1, i] = node x_i mapped into block
     k, leg[m, i] = p_m(x_i) and scale[m] = (2m + 1) / 2.
     """
-    nodes, weights = leggauss(config.quad_points)
+    nodes, weights = _gauss_legendre(config.quad_points)
     k = np.arange(1, config.q + 1)[:, None]
     ts = (nodes + 2 * k - 1) / (2 * config.q)
-    leg = legvander(nodes, config.r - 1).T
+    leg = _legendre_values(nodes, config.r - 1).T
     scale = (2.0 * np.arange(config.r) + 1.0) / 2.0
     return ts, weights, leg, scale
 
@@ -82,7 +118,7 @@ def eval_basis(config: BasisConfig, t: ArrayLike) -> np.ndarray:
     k = np.asarray(block_of(config, t)).ravel()
     x = 2.0 * config.q * t.ravel() - 2.0 * k + 1.0
     out = np.zeros((t.size, config.q, config.r))
-    out[np.arange(t.size), k - 1] = legvander(x, config.r - 1)
+    out[np.arange(t.size), k - 1] = _legendre_values(x, config.r - 1)
     return out.reshape(t.shape + (config.dim,))
 
 

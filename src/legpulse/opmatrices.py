@@ -8,8 +8,8 @@ coefficient matrix of a vector and the row vector of a quadratic form are
 assembled for arbitrary (r, q). Both work block by block and accept leading
 batch axes. The product tensor holds the block product of two coefficient
 matrices as a bilinear form in the two vectors, from which Newton's Jacobian
-is built. The triple products are Gauss-Legendre sums, with nodes, weights and
-Legendre values taken from numpy.polynomial.legendre.
+is built. The triple products are Gauss-Legendre sums, with the rule and the
+Legendre values that basis builds for the projections.
 
 The build_* functions depend on the config alone, so each result is built
 once per config, cached for the life of the process, and returned read-only.
@@ -24,9 +24,8 @@ from __future__ import annotations
 from functools import lru_cache
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss, legvander
 
-from .basis import BasisConfig
+from .basis import BasisConfig, _gauss_legendre, _legendre_values
 
 
 def _integration_block(r: int, q: int) -> np.ndarray:
@@ -113,8 +112,8 @@ def build_triple_tensor(config: BasisConfig) -> np.ndarray:
     degree-3(r-1) products exactly.
     """
     r = config.r
-    nodes, weights = leggauss(-(-(3 * (r - 1) + 1) // 2))
-    leg = legvander(nodes, r - 1)
+    nodes, weights = _gauss_legendre(-(-(3 * (r - 1) + 1) // 2))
+    leg = _legendre_values(nodes, r - 1)
     scale = (2.0 * np.arange(r) + 1.0) / 2.0
     return _frozen(np.einsum("n,ni,nj,nm,m->ijm", weights, leg, leg, leg, scale))
 

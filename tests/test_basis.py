@@ -1,16 +1,23 @@
 """Hybrid basis evaluation and projections against published and closed-form data."""
 
 import math
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.polynomial.legendre import leggauss, legvander
 
+from legpulse import basis
 from legpulse.basis import (
     _KERNEL_SAMPLES,
     BasisConfig,
+    _gauss_legendre,
+    _legendre_values,
     _projection_data,
     block_of,
     eval_basis,
@@ -139,10 +146,10 @@ def test_kernel_projection_is_separable_product():
 
 def test_projections_match_blockwise_reference():
     # reference: one block (pair) at a time, the way the projections were
-    # computed before they were vectorized
+    # computed before they were vectorized, on the Gauss rule the projections use
     cfg = BasisConfig(q=12, r=3)
     q, r = cfg.q, cfg.r
-    x, w = leggauss(cfg.quad_points)
+    x, w = _gauss_legendre(cfg.quad_points)
     wleg = legvander(x, r - 1).T * w
     scale = np.arange(r) + 0.5
     nodes = [(x + 2 * k + 1) / (2 * q) for k in range(q)]
@@ -366,6 +373,81 @@ def test_projection_exact_up_to_degree_2q_minus_r(r):
     ]
     assert errors[0] <= 1e-13
     assert errors[1] >= 1e-7
+
+
+EPS = np.finfo(float).eps
+
+
+@pytest.mark.parametrize("n", range(1, 81))
+def test_gauss_legendre_rule(n):
+    # n = 80 is past every Gauss size the suite and CI reach: r = 50 makes the
+    # projections' rule 50 points and the triple tensor's 74
+    x, w = _gauss_legendre(n)
+    assert np.all(np.diff(x) > 0)
+    assert np.array_equal(x, -x[::-1])
+    assert np.all(w > 0)
+    assert np.array_equal(w, w[::-1])
+    # sum w p_k(x) = 2 delta_k0 for k <= 2n - 1: measured at most 4 eps over
+    # n <= 80, against 86 eps with numpy's leggauss
+    moments = w @ _legendre_values(x, 2 * n - 1)
+    moments[0] -= 2.0
+    assert np.max(np.abs(moments)) <= 16 * EPS
+    assert np.max(np.abs(x - leggauss(n)[0])) <= EPS
+
+
+def test_legendre_values_equal_legvander_bit_for_bit():
+    x = np.random.default_rng(0).uniform(-1.0, 1.0, 500)
+    for deg in range(41):
+        assert np.array_equal(_legendre_values(x, deg), legvander(x, deg)), deg
+
+
+def test_gauss_legendre_raises_when_newton_does_not_converge(monkeypatch):
+    # values with noise far above rounding: no Newton step ever gets below 1e-14
+    rng = np.random.default_rng(0)
+    exact = basis._legendre_values
+
+    def noisy(x, deg):
+        return exact(x, deg) + rng.normal(0.0, 1e-6, x.shape + (deg + 1,))
+
+    monkeypatch.setattr(basis, "_legendre_values", noisy)
+    with pytest.raises(ArithmeticError, match="24-point Gauss-Legendre nodes did not converge"):
+        _gauss_legendre(24)
+
+
+NO_POLYNOMIAL_SCRIPT = """\
+import sys
+from pathlib import Path
+
+import numpy as np
+
+def no_eigensolver(*args, **kwargs):
+    raise AssertionError("an eigensolver was called")
+
+for name in ("eig", "eigh", "eigvals", "eigvalsh"):
+    setattr(np.linalg, name, no_eigensolver)
+
+from legpulse import problems, reference
+
+for path in sorted(Path("problems").glob("*.prob")):
+    assert problems.run(problems.load_problem(path)).report.converged, path
+assert all(check.ok for check in reference.run_all())
+print(sorted(name for name in sys.modules if name.startswith("numpy.polynomial")))
+"""
+
+
+def test_solving_imports_no_numpy_polynomial_and_calls_no_eigensolver():
+    # numpy.polynomial's import and the first eigvalsh call cost each process
+    # about 1.3 MB of peak resident memory
+    root = Path(__file__).resolve().parents[1]
+    done = subprocess.run(
+        [sys.executable, "-c", NO_POLYNOMIAL_SCRIPT],
+        cwd=root,
+        env={**os.environ, "PYTHONPATH": str(root / "src")},
+        capture_output=True,
+        text=True,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[]\n"
 
 
 def test_coeff_vector_validation():
