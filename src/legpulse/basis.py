@@ -5,7 +5,7 @@ carries the Legendre polynomials of orders 0 .. r-1 on each, rescaled by the
 affine map x = 2qt - 2k + 1 that sends block k to [-1, 1]. Coefficients are
 stored block-major: entry (k-1)*r + m belongs to order m on block k.
 Legendre values come from their three-term recurrence, and the Gauss-Legendre
-rules of the projections and of the triple tensor from Newton's method on p_n.
+rules of the projections, the only quadrature, from Newton's method on p_n.
 """
 
 from __future__ import annotations

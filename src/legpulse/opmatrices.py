@@ -7,9 +7,8 @@ by a block-local tensor of normalized triple products, from which the
 coefficient matrix of a vector and the row vector of a quadratic form are
 assembled for arbitrary (r, q). Both work block by block and accept leading
 batch axes. The product tensor holds the block product of two coefficient
-matrices as a bilinear form in the two vectors, from which Newton's Jacobian
-is built. The triple products are Gauss-Legendre sums, with the rule and the
-Legendre values that basis builds for the projections.
+matrices as a bilinear form, for the Volterra part of Newton's Jacobian.
+Everything here is in closed form: the triple products are Adams' formula.
 
 The build_* functions depend on the config alone, so each result is built
 once per config, cached for the life of the process, and returned read-only.
@@ -25,7 +24,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .basis import BasisConfig, _gauss_legendre, _legendre_values
+from .basis import BasisConfig
 
 
 def _integration_block(r: int, q: int) -> np.ndarray:
@@ -107,15 +106,21 @@ def build_triple_tensor(config: BasisConfig) -> np.ndarray:
     Returns the (r, r, r) array t[i, j, m] = (2m+1)/2 * integral of
     p_i p_j p_m, which is the integral over one block of b_i b_j b_m divided
     by <b_m, b_m> and the same for every block by translation invariance.
-    It is symmetric in (i, j), zero whenever i + j + m is odd, and t[0, j, m]
-    is the identity.  The Gauss size ceil((3(r-1)+1)/2) integrates the
-    degree-3(r-1) products exactly.
+    By Adams' formula (Proc. R. Soc. Lond. 27, 1878) that is (2m+1)/(2s+1)
+    a(s-i) a(s-j) a(s-m) / a(s), a(n) = C(2n, n) / 4^n, where i + j + m = 2s
+    and s >= i, j, m, and exactly 0 elsewhere; t[0] is exactly the identity.
     """
     r = config.r
-    nodes, weights = _gauss_legendre(-(-(3 * (r - 1) + 1) // 2))
-    leg = _legendre_values(nodes, r - 1)
-    scale = (2.0 * np.arange(r) + 1.0) / 2.0
-    return _frozen(np.einsum("n,ni,nj,nm,m->ijm", weights, leg, leg, leg, scale))
+    # a(n) as the running product of (2n - 1) / (2n), which cannot overflow
+    n = np.arange(1, 3 * (r - 1) // 2 + 1)
+    a = np.cumprod(np.r_[1.0, (2.0 * n - 1.0) / (2.0 * n)])
+    i, j, m = np.ogrid[:r, :r, :r]
+    s, odd = np.divmod(i + j + m, 2)
+    i, j, m = np.nonzero((odd == 0) & (s >= np.maximum(np.maximum(i, j), m)))
+    s = (i + j + m) // 2
+    t = np.zeros((r, r, r))
+    t[i, j, m] = (2 * m + 1) / (2 * s + 1) * (a[s - i] * a[s - j] * a[s - m] / a[s])
+    return _frozen(t)
 
 
 @lru_cache(maxsize=None)

@@ -27,8 +27,8 @@ from .basis import BasisConfig, project_function, project_kernel
 from .lift import lift, lift_offset
 from .opmatrices import (
     _frozen,
+    _integration_block,
     build_J,
-    build_P,
     build_product_tensor,
     build_triple_tensor,
     coeff_matrix,
@@ -109,24 +109,24 @@ class AssembledSystem:
     array, both for config.
 
     Everything else is built here from those fields: the (r, r, r) triple
-    tensor; the split of the kernel that the integral core reads, C, the
+    tensor t; the split of the kernel that the integral core reads, C, the
     (dim, dim) carried kernel (kernel itself for Fredholm), diagonal, the
-    (q, r, r) diagonal blocks of the kernel for Volterra and None for
-    Fredholm, and E, the (r, r) diagonal block of the integration matrix;
-    and the m-th and n-th lifts as one affine map y -> A y + a, grouped by
-    block: A[k, :r] and A[k, r:] are the rows of J^m and J^n for block k,
-    shape (q, 2r, dim), and a, shape (q, 2r), holds lift_offset's lifts of the
-    zero vector in the same layout.  Z0 and W (None for Fredholm)
-    are the Hessians in w_k = (u_k, v_k), as _hessian describes, of
-    D_k e0 = sum_{j,l} u_kj v_kl Z[j, l, :, 0], Z the product tensor, and of
-    hat(K_kk D_k E) = sum_{j,l} u_kj v_kl W_k[j, l], W_k[j, l] = hat(K_kk Z[j, l] E).
-    W has shape (q, 2r, 2r^2), one W_k per block, or (1, 2r, 2r^2) when the
-    diagonal blocks K_kk are bitwise equal, as for a difference kernel's
-    block-Toeplitz projection; _jacobian then broadcasts its one block.
+    (q, r, r) diagonal blocks of the kernel, and E, the (r, r) diagonal block
+    of the integration matrix, both None for Fredholm; and the m-th and n-th
+    lifts as one affine map y -> A y + a, grouped by block: A[k, :r] and
+    A[k, r:] are the rows of J^m and J^n for block k, shape (q, 2r, dim), and
+    a, shape (q, 2r), holds lift_offset's lifts of the zero vector in the same
+    layout.  Z0 and W (None for Fredholm) are the Hessians in w_k = (u_k, v_k),
+    as _hessian describes, of D_k e0 = sum_{j,l} u_kj v_kl t[:, j, l] / (2l + 1)
+    and of hat(K_kk D_k E) = sum_{j,l} u_kj v_kl W_k[j, l], with W_k[j, l] =
+    hat(K_kk Z[j, l] E), Z the product tensor, which only W builds.  W has shape
+    (q, 2r, 2r^2), one W_k per block, or (1, 2r, 2r^2) when the diagonal blocks
+    K_kk are bitwise equal, as for a difference kernel's block-Toeplitz
+    projection; _jacobian then broadcasts its one block.
 
     The tensor, A and Z0 depend on the config (and A on m and n) alone, so
     they are built once per process and shared read-only by every system
-    of the same shape; a, C, diagonal and W are the system's own.
+    of the same shape; a, C, diagonal, E and W are the system's own.
     """
 
     config: BasisConfig
@@ -140,7 +140,7 @@ class AssembledSystem:
     tensor: np.ndarray = field(init=False, repr=False)
     C: np.ndarray = field(init=False, repr=False)
     diagonal: np.ndarray | None = field(init=False, repr=False)
-    E: np.ndarray = field(init=False, repr=False)
+    E: np.ndarray | None = field(init=False, repr=False)
     A: np.ndarray = field(init=False, repr=False)
     a: np.ndarray = field(init=False, repr=False)
     Z0: np.ndarray = field(init=False, repr=False)
@@ -160,11 +160,11 @@ class AssembledSystem:
         self.A = _lift_rows(self.config, self.m, self.n)
         offsets = [lift_offset(k, self.ics, self.config) for k in (self.m, self.n)]
         self.a = np.concatenate([b.reshape(q, r) for b in offsets], axis=1)
-        self.E = build_P(self.config)[:r, :r]
         self.Z0 = _carried_hessian(self.config)
         if self.kind == "fredholm":
-            self.C, self.diagonal, self.W = self.kernel, None, None
+            self.C, self.diagonal, self.E, self.W = self.kernel, None, None, None
         else:
+            self.E = _integration_block(r, q)
             blocks = self.kernel.reshape(q, r, q, r)
             self.C = (blocks * np.tri(q, k=-1)[:, None, :, None]).reshape(dim, dim)
             self.diagonal = blocks[np.arange(q), :, np.arange(q)]
@@ -174,8 +174,7 @@ class AssembledSystem:
             diagonal = self.diagonal[:1] if (bits == bits[0]).all() else self.diagonal
             # W_k[j, l] = sum_{c,d} Z[j, l, c, d] G_k[c, d], G_k[c, d] = hat(K_kk[:, c] E[d]^T)
             G = diagonal.swapaxes(1, 2) @ (self.E @ self.tensor).reshape(r, r * r)
-            Z = build_product_tensor(self.config)
-            W = Z.reshape(r * r, r * r) @ G.reshape(-1, r * r, r)
+            W = build_product_tensor(self.config).reshape(r * r, r * r) @ G.reshape(-1, r * r, r)
             self.W = _hessian(W.reshape(-1, r, r, r))
 
 
@@ -190,8 +189,9 @@ def _lift_rows(config: BasisConfig, m: int, n: int) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def _carried_hessian(config: BasisConfig) -> np.ndarray:
-    """AssembledSystem.Z0 for config, read-only."""
-    return _frozen(_hessian(build_product_tensor(config)[..., 0]))
+    """AssembledSystem.Z0 for config, read-only, from Z[j, l, c, 0] = t[c, j, l] / (2l + 1)."""
+    t = build_triple_tensor(config)
+    return _frozen(_hessian(t.transpose(1, 2, 0) / (2.0 * np.arange(config.r) + 1.0)[:, None]))
 
 
 def _hessian(Q: np.ndarray) -> np.ndarray:

@@ -1,6 +1,9 @@
 """Operational matrices against closed forms and independent quadrature oracles."""
 
+import itertools
 import math
+from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -166,6 +169,55 @@ def test_triple_tensor_symmetry_and_parity():
             for m in range(6):
                 if (i + j + m) % 2 == 1:
                     assert abs(t[i, j, m]) <= 1e-14
+
+
+@lru_cache(maxsize=None)
+def _adams_exact(r):
+    """Adams' triple products in exact arithmetic, an (r, r, r) object array of
+    Fractions: (2m+1)/(2s+1) A(s-i) A(s-j) A(s-m) / A(s), A(n) = C(2n, n) / 4^n,
+    for i + j + m = 2s with s >= i, j, m, and 0 elsewhere."""
+    A = [Fraction(math.comb(2 * n, n), 4**n) for n in range(3 * r // 2 + 1)]
+    t = np.full((r, r, r), Fraction(0), dtype=object)
+    for i, j, m in itertools.product(range(r), repeat=3):
+        s, odd = divmod(i + j + m, 2)
+        if not odd and s >= max(i, j, m):
+            t[i, j, m] = Fraction(2 * m + 1, 2 * s + 1) * A[s - i] * A[s - j] * A[s - m] / A[s]
+    return t
+
+
+def _legendre_exact(n):
+    """Monomial coefficients of p_n as Fractions, lowest degree first."""
+    prev, cur = [Fraction(1)], [Fraction(0), Fraction(1)]
+    if n == 0:
+        return prev
+    for k in range(1, n):
+        x_cur = [Fraction(0)] + cur
+        prev = prev + [Fraction(0)] * (len(x_cur) - len(prev))
+        prev, cur = cur, [((2 * k + 1) * a - k * b) / (k + 1) for a, b in zip(x_cur, prev)]
+    return cur
+
+
+def test_adams_formula_is_the_exact_triple_integral():
+    # the exact oracle _adams_exact, checked against (2m+1)/2 * integral of
+    # p_i p_j p_m over [-1, 1], computed on exact monomial coefficients
+    r = 8
+    polys = [_legendre_exact(n) for n in range(r)]
+    for i, j, m in itertools.product(range(r), repeat=3):
+        product = np.convolve(np.convolve(polys[i], polys[j]), polys[m])
+        integral = sum(c * Fraction(2, k + 1) for k, c in enumerate(product) if k % 2 == 0)
+        assert _adams_exact(40)[i, j, m] == Fraction(2 * m + 1, 2) * integral, (i, j, m)
+
+
+@pytest.mark.parametrize("r", range(1, 41))
+def test_triple_tensor_is_exact_to_one_eps(r):
+    # an entry does not depend on r, so every r reads the same exact table
+    exact = _adams_exact(40)[:r, :r, :r]
+    t = build_triple_tensor(BasisConfig(q=1, r=r))
+    zero = exact == 0
+    assert np.all(t[zero] == 0.0)
+    error = [abs(Fraction(float(x)) - e) for x, e in zip(t[~zero], exact[~zero])]
+    assert max(error, default=0) <= Fraction(np.finfo(float).eps)
+    assert np.array_equal(t[0], np.eye(r))
 
 
 def _block_diag(blocks):

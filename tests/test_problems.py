@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -643,11 +644,17 @@ def test_cli_reports_the_iterations_newton_took_near_overflow(tmp_path, capsys):
     problem.write_text(NEAR_OVERFLOW_TEXT)
     code = main(["solve", str(problem)])
     captured = capsys.readouterr()
+    # the step at which the Jacobian turns singular and the residual's digits
+    # move with rounding (after 2, 3 or 4 steps, 1.8e297 to 9.8e299); the
+    # reason, the message's shape and the residual's exponent, 296 to 299, do not
     assert code == 1
-    assert captured.err == (
-        "did not converge: Newton stopped (singular Jacobian) after 3 of at most 100 iteration(s), "
-        "residual max-norm 1.787e+297 > 1e-12\n"
+    match = re.fullmatch(
+        r"did not converge: Newton stopped \(singular Jacobian\) after \d+ of at most 100 "
+        r"iteration\(s\), residual max-norm (\S+) > 1e-12\n",
+        captured.err,
     )
+    assert match is not None, captured.err
+    assert 1e296 <= float(match.group(1)) < 1e300
 
 
 BOUND_ESTIMATE_TEXT = """\
@@ -825,10 +832,11 @@ def _halving_newton(system, tol=1e-12, max_iter=100):
 
 
 def test_line_search_solves_a_rank_1_fredholm_problem_in_one_step():
-    # exp(t - s) has rank 1, so the root lies on the Newton line from Y = F.
-    # The count is pinned on the fully sampled kernel: run's block-Toeplitz
-    # one differs from it by rounding, and this problem's one-step residual
-    # sits within a few eps * max|R(F)| of tol, so run may take a second step
+    # exp(t - s) has rank 1, so the root lies on the Newton line from Y = F,
+    # and one step with the line search lands on it.  That step is asserted
+    # by its Y, not by the iteration count: its residual sits within a few
+    # eps * max|R(F)| of tol, so rounding alone can make solve confirm it
+    # with a second step.  Without the line search Newton takes 6.
     spec = parse_problem(FREDHOLM_WIDE_TEXT)
     output = run(spec)
     assert output.report.converged
@@ -844,10 +852,11 @@ def test_line_search_solves_a_rank_1_fredholm_problem_in_one_step():
     )
     report = solve(system)
     assert report.converged
-    assert report.iterations == 1
+    assert report.iterations <= 2
     expected = _halving_newton(system)
     scale = np.abs(expected).max()
-    for Y in (report.Y, output.report.Y):
+    one_step = solve(system, max_iter=1).Y
+    for Y in (one_step, report.Y, output.report.Y):
         np.testing.assert_allclose(Y, expected, rtol=0, atol=1e-11 * scale)
 
 

@@ -463,6 +463,35 @@ def _clear_shape_caches():
         cache.cache_clear()
 
 
+@pytest.mark.parametrize("r,q", SHAPES + BENCH_SHAPES)
+def test_carried_hessian_is_read_off_the_triple_tensor(r, q):
+    # Z[j, l, c, 0] = t[c, j, l] / (2l + 1), so Z0 needs no product tensor
+    cfg = BasisConfig(q=q, r=r)
+    expected = _hessian(build_product_tensor(cfg)[..., 0])
+    np.testing.assert_allclose(
+        solver._carried_hessian(cfg), expected, rtol=0, atol=4 * np.finfo(float).eps
+    )
+
+
+@pytest.mark.parametrize(
+    "build, builds",
+    [(fredholm_exp_system, 0), (volterra_sin_system, 1)],
+    ids=["fredholm", "volterra"],
+)
+def test_only_volterra_builds_the_product_tensor(build, builds):
+    # Fredholm reads no r^4 product tensor, nor Volterra's E, diagonal or W
+    _clear_shape_caches()
+    build_product_tensor.cache_clear()
+    system = build()
+    assert solve(system).converged
+    assert build_product_tensor.cache_info().currsize == builds
+    if system.kind == "fredholm":
+        assert system.E is None and system.diagonal is None and system.W is None
+    else:
+        r = system.config.r
+        np.testing.assert_array_equal(system.E, build_P(system.config)[:r, :r])
+
+
 @pytest.mark.parametrize("r, q", [(3, 12), (12, 4), (8, 64)])
 def test_lift_rows_are_integer_multiples_of_powers_of_2q(r, q):
     # J / (2q) is an integer matrix, so the rows of J^k / (2q)^k are too
