@@ -17,6 +17,14 @@ from typing import Callable
 import numpy as np
 from numpy.typing import ArrayLike
 
+# how many (config, grid) pairs reconstruct keeps the basis values of: a
+# process that solves a few problems in turn reuses each one's grid
+_GRID_BASES = 8
+# how many shapes every cache of per-shape data keeps (for opmatrices and
+# solver too): the (r, r, r, r) product tensor is 50 MB at r = 50, so a
+# sweep over r must not keep every shape it passed
+_SHAPES = 4
+
 
 @dataclass(frozen=True)
 class BasisConfig:
@@ -86,7 +94,7 @@ def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
     return x, w * (2.0 / w.sum())
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_SHAPES)
 def _projection_data(config: BasisConfig):
     """Per-block quadrature nodes, weights and Legendre values, cached.
 
@@ -221,11 +229,6 @@ def project_kernel(
     b0, b1, b2 = blocks.strides
     view = np.ndarray((q, r, q, r), float, blocks, (q - 1) * b0, (b0, b1, -b0, b2))
     return view.reshape(dim, dim)
-
-
-# how many (config, grid) pairs reconstruct keeps the basis values of: a
-# process that solves a few problems in turn reuses each one's grid
-_GRID_BASES = 8
 
 
 @lru_cache(maxsize=_GRID_BASES)

@@ -11,7 +11,8 @@ matrices as a bilinear form, for the Volterra part of Newton's Jacobian.
 Everything here is in closed form: the triple products are Adams' formula.
 
 The build_* functions depend on the config alone, so each result is built
-once per config, cached for the life of the process, and returned read-only.
+once per config, cached for the last basis._SHAPES configs, and returned
+read-only.
 
 Products of basis functions have degree up to 2(r-1); projecting them back
 into the degree-(r-1) space silently drops the higher modes. That truncation
@@ -24,7 +25,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .basis import BasisConfig
+from .basis import _SHAPES, BasisConfig
 
 
 def _integration_block(r: int, q: int) -> np.ndarray:
@@ -52,7 +53,7 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return a
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_SHAPES)
 def build_P(config: BasisConfig) -> np.ndarray:
     """Operational matrix of integration, (dim, dim).
 
@@ -70,7 +71,7 @@ def build_P(config: BasisConfig) -> np.ndarray:
     return _frozen(P)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_SHAPES)
 def build_L(config: BasisConfig) -> np.ndarray:
     """Gram matrix of the basis, (dim, dim): diagonal with 1/((2m+1)q) per
     (k, m) slot."""
@@ -78,7 +79,7 @@ def build_L(config: BasisConfig) -> np.ndarray:
     return _frozen(np.diag(diag))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_SHAPES)
 def build_J(config: BasisConfig) -> np.ndarray:
     """Inverse transpose of the integration matrix, (dim, dim): (P^T)^-1 exactly.
 
@@ -99,7 +100,7 @@ def build_J(config: BasisConfig) -> np.ndarray:
     return _frozen(2.0 * q * J)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_SHAPES)
 def build_triple_tensor(config: BasisConfig) -> np.ndarray:
     """All normalized triple products of block-local Legendre polynomials.
 
@@ -123,7 +124,7 @@ def build_triple_tensor(config: BasisConfig) -> np.ndarray:
     return _frozen(t)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_SHAPES)
 def build_product_tensor(config: BasisConfig) -> np.ndarray:
     """Products Z[j, l] = T_j T_l, shape (r, r, r, r), of the coefficient
     matrices T_j = t[j] of one block's basis functions, t the triple tensor:

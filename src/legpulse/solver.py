@@ -23,7 +23,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .basis import BasisConfig, project_function, project_kernel
+from .basis import _SHAPES, BasisConfig, project_function, project_kernel
 from .lift import lift, lift_offset
 from .opmatrices import (
     _frozen,
@@ -44,7 +44,7 @@ TOL = 1e-12
 MAX_ITER = 100
 # budget for halving a Newton step that fails to reduce the residual
 _MAX_HALVINGS = 20
-# the exact line search's step is tried only when its model promises a
+# the line search's step is tried only when its model promises a
 # squared 2-norm below this share of the full step's
 _SEARCH_GAIN = 1.0 / 16.0
 # Newton stops, converged, once max|step| <= _STEP_ULPS * eps * max|y|: the
@@ -125,8 +125,8 @@ class AssembledSystem:
     projection; _jacobian then broadcasts its one block.
 
     The tensor, A and Z0 depend on the config (and A on m and n) alone, so
-    they are built once per process and shared read-only by every system
-    of the same shape; a, C, diagonal, E and W are the system's own.
+    they are kept for the last basis._SHAPES shapes, shared read-only by all
+    systems of the same shape; a, C, diagonal, E and W are the system's own.
     """
 
     config: BasisConfig
@@ -178,7 +178,7 @@ class AssembledSystem:
             self.W = _hessian(W.reshape(-1, r, r, r))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_SHAPES)
 def _lift_rows(config: BasisConfig, m: int, n: int) -> np.ndarray:
     """AssembledSystem.A for config, m and n, read-only: the one cache of J^m, J^n."""
     q, r, dim = config.q, config.r, config.dim
@@ -187,7 +187,7 @@ def _lift_rows(config: BasisConfig, m: int, n: int) -> np.ndarray:
     return _frozen(np.concatenate(rows, axis=1))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_SHAPES)
 def _carried_hessian(config: BasisConfig) -> np.ndarray:
     """AssembledSystem.Z0 for config, read-only, from Z[j, l, c, 0] = t[c, j, l] / (2l + 1)."""
     t = build_triple_tensor(config)
@@ -309,61 +309,39 @@ def _jacobian(system: AssembledSystem, y: np.ndarray) -> np.ndarray:
         return tangent
 
 
-def _cubic_roots(c3: float, c2: float, c1: float, c0: float) -> list[float]:
-    """Real roots of c3 x^3 + c2 x^2 + c1 x + c0 in closed form: Cardano's
-    formula when there is one, the trigonometric one for three.  Raises
-    ArithmeticError or ValueError where that arithmetic breaks down: for
-    c3 = 0, a triple root, or coefficients whose powers overflow."""
-    shift = c2 / (3.0 * c3)
-    p = c1 / c3 - 3.0 * shift**2
-    q = 2.0 * shift**3 - shift * c1 / c3 + c0 / c3
-    disc = (q / 2.0) ** 2 + (p / 3.0) ** 3
-    if disc > 0.0:
-        w = -q / 2.0 - math.copysign(math.sqrt(disc), q)
-        w = math.copysign(abs(w) ** (1.0 / 3.0), w)
-        xs = [w - p / (3.0 * w)]
-    else:
-        m = 2.0 * math.sqrt(-p / 3.0)
-        theta = math.acos(min(1.0, max(-1.0, 3.0 * q / (p * m)))) / 3.0
-        xs = [m * math.cos(theta - 2.0 * math.pi * k / 3.0) for k in range(3)]
-    return [x - shift for x in xs]
-
-
 def _step_length(
     res: np.ndarray, norm: float, full_res: np.ndarray, full_norm: float
 ) -> float | None:
-    """The exact line search along a Newton step s: a length t, or None.
+    """The line search along a Newton step s: a length t, or None.
 
     R is quadratic and J s = -R(y), so R(y + t s) = (1 - t) a + t^2 b for
-    a = R(y) and b = R(y + s), whose max-norms are norm and full_norm.  The
-    t in (0, 2] minimizing this model's squared 2-norm is 2 or a root of its
-    derivative, the cubic 2 b.b t^3 - 3 a.b t^2 + (a.a + 2 a.b) t - a.a.  It
-    is returned only when the model promises less than _SEARCH_GAIN times
-    the full step's b.b.  a and b are scaled by their largest entry, so
-    their dot products cannot overflow; a non-finite b, or a cubic that
-    _cubic_roots cannot solve, gives None.
+    a = R(y) and b = R(y + s), whose max-norms are norm and full_norm.  With
+    beta = a.b / a.a, the model's component along a, 1 - t + beta t^2, has its
+    smaller root t = 2 / (1 + sqrt(1 - 4 beta)) when beta <= 1/4 and is
+    smallest at t = 1 / (2 beta) otherwise, so t lies in (0, 2].  That t is
+    the model's exact root when b is parallel to a, as for a rank-1 kernel.
+    It is returned only when the model's squared 2-norm there is below
+    _SEARCH_GAIN times the full step's b.b.  a and b are scaled by their
+    largest entry, so their dot products cannot overflow; a non-finite b, or
+    an a.a of 0, gives None.
     """
     if not math.isfinite(full_norm):
         return None
     scale = max(norm, full_norm)
     a, b = res / scale, full_res / scale
     aa, ab, bb = float(a @ a), float(a @ b), float(b @ b)
-
-    def model(t: float) -> float:
-        return (1.0 - t) ** 2 * aa + 2.0 * (1.0 - t) * t * t * ab + t**4 * bb
-
-    try:
-        roots = _cubic_roots(2.0 * bb, -3.0 * ab, aa + 2.0 * ab, -aa)
-    except (ArithmeticError, ValueError):
+    if aa == 0.0:
         return None
-    best = min([t for t in roots if 0.0 < t <= 2.0] + [2.0], key=model)
-    return best if model(best) < _SEARCH_GAIN * bb else None
+    beta = ab / aa
+    t = 2.0 / (1.0 + math.sqrt(1.0 - 4.0 * beta)) if beta <= 0.25 else 0.5 / beta
+    model = (1.0 - t) ** 2 * aa + 2.0 * (1.0 - t) * t * t * ab + t**4 * bb
+    return t if model < _SEARCH_GAIN * bb else None
 
 
 def _newton(
     system: AssembledSystem, start: np.ndarray, tol: float, max_iter: int
 ) -> SolveReport:
-    """Damped Newton from start, with an exact line search.
+    """Damped Newton from start, stepping to the residual model's projected root.
 
     Converged means the residual max-norm fell to tol, or the Newton step
     fell to rounding level, max|step| <= _STEP_ULPS * eps * max|y|.  The
@@ -435,16 +413,16 @@ def check_stopping(tol: float, max_iter: int) -> None:
 
 
 def solve(system: AssembledSystem, tol: float = TOL, max_iter: int = MAX_ITER) -> SolveReport:
-    """Damped Newton on the residual, starting from Y = F, with an exact
-    line search along each step.
+    """Damped Newton on the residual, starting from Y = F, with a line
+    search along each step to the projected root of its quadratic model.
 
     The forcing coefficients are the exact solution when the integral term
     vanishes and a good predictor otherwise; for a rank-1 kernel the root
-    lies on the first Newton line, where the line search usually lands in
-    one step.  The report is converged when the residual max-norm is at
-    most tol, or when the Newton step fell to rounding level in Y, as
-    _newton describes.  Raises FloatingPointError when the residual at
-    Y = F overflows or is otherwise not finite.
+    lies on the first Newton line, where the projected root is the model's
+    exact one, so one step usually lands on it.  The report is converged
+    when the residual max-norm is at most tol, or when the Newton step fell
+    to rounding level in Y, as _newton describes.  Raises FloatingPointError
+    when the residual at Y = F overflows or is otherwise not finite.
     """
     check_stopping(tol, max_iter)
     return _newton(system, system.forcing, tol, max_iter)
@@ -465,7 +443,7 @@ def error_bound(mu: int, M: float) -> float:
     return num / (den * 2 ** (2 * mu + 1) * math.factorial(mu + 1))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_SHAPES)
 def _stencil_points(order: int) -> np.ndarray:
     """Every point derivative_max samples at order >= 1, read-only, shape
     (2, order + 1, _SAMPLES): row (0, i) is the grid shifted by

@@ -3,19 +3,26 @@
 import copy
 import dataclasses
 import math
+import random
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from legpulse import solver
-from legpulse.basis import BasisConfig, project_function, reconstruct
+from legpulse.basis import _SHAPES, BasisConfig, _projection_data, project_function, reconstruct
 from legpulse.exprlang import ExprEvalError, evaluate, parse_expression
-from legpulse.opmatrices import build_J, build_L, build_P, build_product_tensor
+from legpulse.opmatrices import (
+    build_J,
+    build_L,
+    build_P,
+    build_product_tensor,
+    build_triple_tensor,
+)
 from legpulse.solver import (
-    _cubic_roots,
     _hessian,
     _jacobian,
+    _step_length,
     assemble,
     derivative_max,
     error_bound,
@@ -532,6 +539,21 @@ def test_shape_caches_share_no_problem_data():
         np.testing.assert_array_equal(solve(system).Y, solve(rebuilt).Y)
 
 
+def test_shape_caches_keep_the_last_few_shapes():
+    # a sweep over r must not keep every shape's (r, r, r, r) product tensor
+    caches = (
+        _projection_data, build_P, build_L, build_J, build_triple_tensor,
+        build_product_tensor, solver._lift_rows, solver._carried_hessian,
+        solver._stencil_points,
+    )
+    assert all(cache.cache_parameters()["maxsize"] == _SHAPES for cache in caches)
+    for r in range(2, 2 + 2 * _SHAPES):
+        assemble(BasisConfig(q=2, r=r), "volterra", 1.0, lambda t, s: np.sin(t - s), np.exp, 0, 1, (0.0,))
+        derivative_max(np.exp, r)
+    assert build_product_tensor.cache_info().currsize == _SHAPES
+    assert all(cache.cache_info().currsize <= _SHAPES for cache in caches)
+
+
 def _q_block_W(system):
     """The Volterra Hessian W with one block per diagonal block of the kernel."""
     q, r = system.config.q, system.config.r
@@ -587,17 +609,91 @@ def test_residual_along_a_newton_step_is_the_line_search_model(kind, m, n, sign,
         np.testing.assert_allclose(got, model, rtol=0, atol=1e-12 * scale + a * rounding)
 
 
-@pytest.mark.parametrize(
-    "coeffs",
-    [
-        (1.0, -6.0, 11.0, -6.0),
-        (2.0, -3.0, 1.0, -5.0),
-        (0.5, 0.0, -3.0, 1e-3),
-        (1.0, 0.0, 0.0, -8.0),
-    ],
-    ids=["three-roots", "one-root", "near-zero-root", "pure-cube"],
+def _length(a, b):
+    """_step_length for the residuals a = R(y) and b = R(y + s)."""
+    return _step_length(a, float(np.abs(a).max()), b, float(np.abs(b).max()))
+
+
+# one finite entry of either sign, with magnitude from 1e-300 to 1e300
+ENTRIES = st.builds(
+    lambda sign, exponent: sign * 10.0**exponent,
+    st.sampled_from([-1.0, 1.0]),
+    st.floats(-300.0, 300.0),
 )
-def test_cubic_roots_match_the_companion_matrix(coeffs):
-    expected = np.roots(coeffs)
-    expected = np.sort(expected[np.abs(expected.imag) < 1e-9].real)
-    np.testing.assert_allclose(np.sort(_cubic_roots(*coeffs)), expected, rtol=1e-12, atol=1e-14)
+
+
+@st.composite
+def residual_pairs(draw):
+    dim = draw(st.integers(1, 64))
+    entries = st.lists(ENTRIES, min_size=dim, max_size=dim)
+    return np.array(draw(entries)), np.array(draw(entries))
+
+
+@settings(deadline=None, max_examples=300)
+@given(pair=residual_pairs())
+def test_step_length_is_none_or_in_zero_to_two(pair):
+    t = _length(*pair)
+    assert t is None or 0.0 < t <= 2.0
+
+
+def test_step_length_is_the_model_root_for_parallel_residuals():
+    # b = beta a makes the model (1 - t + beta t^2) a, so t is its root; near
+    # beta = 0, b.b is itself tiny and the gate may rightly refuse
+    rng = np.random.default_rng(0)
+    betas = np.r_[-np.geomspace(50.0, 1e-3, 400), np.geomspace(1e-3, 0.25, 400)]
+    worst = 0.0
+    for beta in betas:
+        a = rng.uniform(-1.0, 1.0, rng.integers(1, 65)) * 10.0 ** rng.uniform(-100, 100)
+        t = _length(a, beta * a)
+        assert t is not None and 0.0 < t <= 2.0
+        worst = max(worst, abs(1.0 - t + beta * t * t))
+    # the largest value seen is 5.6e-16, 2.5 eps
+    assert worst <= 8 * np.finfo(float).eps
+
+
+@pytest.mark.parametrize(
+    "a, b",
+    [
+        (np.zeros(3), np.array([1.0, -2.0, 0.5])),
+        (np.array([1e-200, -3e-200]), np.array([1.0, 2.0])),
+        (np.array([1.0, 2.0]), np.array([np.inf, 1.0])),
+        (np.array([1.0, 2.0]), np.array([np.nan, 1.0])),
+    ],
+    ids=["zero-a", "a-dot-a-underflows", "infinite-b", "nan-b"],
+)
+def test_step_length_gives_none_without_a_model(a, b):
+    assert _length(a, b) is None
+
+
+def _model_minimizer(a, b):
+    """The t in (0, 2] minimizing |(1 - t) a + t^2 b|_2: 2, or a real root
+    in (0, 2] of the model's derivative, the cubic
+    2 b.b t^3 - 3 a.b t^2 + (a.a + 2 a.b) t - a.a."""
+    scale = max(np.abs(a).max(), np.abs(b).max())
+    a, b = a / scale, b / scale
+    aa, ab, bb = a @ a, a @ b, b @ b
+    roots = np.roots([2.0 * bb, -3.0 * ab, aa + 2.0 * ab, -aa])
+    real = roots[np.abs(roots.imag) <= 1e-9 * np.abs(roots)].real
+    candidates = [t for t in real if 0.0 < t <= 2.0] + [2.0]
+    return min(candidates, key=lambda t: (1 - t) ** 2 * aa + 2 * (1 - t) * t * t * ab + t**4 * bb)
+
+
+def test_step_length_is_the_two_norm_minimizer_for_a_rank_1_kernel():
+    # the first Newton step of the benchmark's fredholm-wide problems at seed 3:
+    # exp(t - s) has rank 1, so b is parallel to a and the model's root
+    # projected on a is the 2-norm minimizer
+    rng = random.Random(3)
+    cfg = BasisConfig(q=12, r=3)
+    for _ in range(50):
+        scalar, b = rng.uniform(0.5, 2.0), rng.uniform(0.6, 1.4)
+        c = scalar * b * math.expm1(2.0 * b - 1.0) / (2.0 * b - 1.0)
+        system = assemble(
+            cfg, "fredholm", scalar, lambda t, s: np.exp(t - s),
+            lambda t: np.exp(b * t) + c * np.exp(t), 0, 1, (1.0,), difference_kernel=True,
+        )
+        y = system.forcing
+        res = residual(system, y)
+        full = residual(system, y + np.linalg.solve(_jacobian(system, y), -res))
+        t = _length(res, full)
+        assert t is not None
+        assert t == pytest.approx(_model_minimizer(res, full), rel=1e-12)
