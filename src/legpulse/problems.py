@@ -29,7 +29,6 @@ from .exprlang import (
     ExprEvalError,
     ExprSyntaxError,
     evaluate,
-    is_difference_kernel,
     parse_expression,
     variables,
 )
@@ -249,8 +248,10 @@ class RunOutput:
 def run(spec: ProblemSpec, tol: float = TOL, max_iter: int = MAX_ITER) -> RunOutput:
     """Check tol and max_iter, then assemble, solve and tabulate one problem.
 
-    A kernel that is a function of t - s alone (exprlang.is_difference_kernel)
-    is sampled on t-blocks 0 and q - 1 only.
+    assemble gets the kernel's expression tree, so its projection, C and
+    Volterra's diagonal blocks, E and W are built once per shape, kind and
+    kernel and shared by the runs after it (see solver.assemble); a kernel
+    that is a function of t - s alone is sampled on t-blocks 0 and q - 1 only.
     """
     check_stopping(tol, max_iter)
     config = BasisConfig(q=spec.q, r=spec.r)
@@ -259,12 +260,11 @@ def run(spec: ProblemSpec, tol: float = TOL, max_iter: int = MAX_ITER) -> RunOut
             config,
             spec.kind,
             spec.scalar,
-            lambda t, s: evaluate(spec.kernel, t, s),
+            spec.kernel,
             lambda t: evaluate(spec.forcing, t),
             spec.m,
             spec.n,
             spec.initial_conditions,
-            difference_kernel=is_difference_kernel(spec.kernel),
         )
     except (ExprEvalError, ValueError, ArithmeticError) as exc:
         raise RunFailure(f"could not assemble {spec.origin}: {exc}") from exc

@@ -17,13 +17,14 @@ Volterra.  Newton's Jacobian uses both terms' Hessians in a block's lifts.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from functools import lru_cache
-from typing import Callable, Sequence
+from typing import Callable, Sequence, get_args
 
 import numpy as np
 
 from .basis import _SHAPES, BasisConfig, project_function, project_kernel
+from .exprlang import Expr, evaluate, is_difference_kernel
 from .lift import lift, lift_offset
 from .opmatrices import (
     _frozen,
@@ -126,7 +127,11 @@ class AssembledSystem:
 
     The tensor, A and Z0 depend on the config (and A on m and n) alone, so
     they are kept for the last basis._SHAPES shapes, shared read-only by all
-    systems of the same shape; a, C, diagonal, E and W are the system's own.
+    systems of the same shape; a is the system's own.  kernel, C, diagonal,
+    E and W depend on the config, kind and kernel alone: assemble hands over
+    the read-only ones it keeps for an expression kernel as _split, and any
+    other system, one built by dataclasses.replace too, splits its kernel
+    here with _split_kernel into arrays of its own.
     """
 
     config: BasisConfig
@@ -145,8 +150,9 @@ class AssembledSystem:
     a: np.ndarray = field(init=False, repr=False)
     Z0: np.ndarray = field(init=False, repr=False)
     W: np.ndarray | None = field(init=False, repr=False)
+    _split: InitVar[tuple | None] = None
 
-    def __post_init__(self):
+    def __post_init__(self, _split):
         check_problem(self.kind, self.scalar, self.m, self.n, self.ics)
         dim, r, q = self.config.dim, self.config.r, self.config.q
         built_for = {
@@ -161,21 +167,39 @@ class AssembledSystem:
         offsets = [lift_offset(k, self.ics, self.config) for k in (self.m, self.n)]
         self.a = np.concatenate([b.reshape(q, r) for b in offsets], axis=1)
         self.Z0 = _carried_hessian(self.config)
-        if self.kind == "fredholm":
-            self.C, self.diagonal, self.E, self.W = self.kernel, None, None, None
-        else:
-            self.E = _integration_block(r, q)
-            blocks = self.kernel.reshape(q, r, q, r)
-            self.C = (blocks * np.tri(q, k=-1)[:, None, :, None]).reshape(dim, dim)
-            self.diagonal = blocks[np.arange(q), :, np.arange(q)]
-            # equal bytes, not just equal values, so that one block gives the
-            # Jacobian of q blocks bit for bit
-            bits = self.diagonal.view(np.uint8)
-            diagonal = self.diagonal[:1] if (bits == bits[0]).all() else self.diagonal
-            # W_k[j, l] = sum_{c,d} Z[j, l, c, d] G_k[c, d], G_k[c, d] = hat(K_kk[:, c] E[d]^T)
-            G = diagonal.swapaxes(1, 2) @ (self.E @ self.tensor).reshape(r, r * r)
-            W = build_product_tensor(self.config).reshape(r * r, r * r) @ G.reshape(-1, r * r, r)
-            self.W = _hessian(W.reshape(-1, r, r, r))
+        if _split is None:
+            _split = _split_kernel(self.config, self.kind, self.kernel)
+        self.C, self.diagonal, self.E, self.W = _split
+
+
+def _split_kernel(config: BasisConfig, kind: str, kernel: np.ndarray) -> tuple:
+    """AssembledSystem's (C, diagonal, E, W) for kind from the (dim, dim) kernel."""
+    if kind == "fredholm":
+        return kernel, None, None, None
+    dim, r, q = config.dim, config.r, config.q
+    E = _integration_block(r, q)
+    blocks = kernel.reshape(q, r, q, r)
+    C = (blocks * np.tri(q, k=-1)[:, None, :, None]).reshape(dim, dim)
+    diagonal = blocks[np.arange(q), :, np.arange(q)]
+    # equal bytes, not just equal values, so that one block gives the
+    # Jacobian of q blocks bit for bit
+    bits = diagonal.view(np.uint8)
+    distinct = diagonal[:1] if (bits == bits[0]).all() else diagonal
+    # W_k[j, l] = sum_{c,d} Z[j, l, c, d] G_k[c, d], G_k[c, d] = hat(K_kk[:, c] E[d]^T)
+    G = distinct.swapaxes(1, 2) @ (E @ build_triple_tensor(config)).reshape(r, r * r)
+    W = build_product_tensor(config).reshape(r * r, r * r) @ G.reshape(-1, r * r, r)
+    return C, diagonal, E, _hessian(W.reshape(-1, r, r, r))
+
+
+@lru_cache(maxsize=_SHAPES)
+def _expression_kernel(config: BasisConfig, kind: str, tree: Expr) -> tuple:
+    """The projected kernel of an expression tree and its _split_kernel for kind,
+    all read-only.  A tree of t - s alone is sampled on two t-blocks only."""
+    kernel = project_kernel(
+        config, lambda t, s: evaluate(tree, t, s), difference_kernel=is_difference_kernel(tree)
+    )
+    split = _split_kernel(config, kind, _frozen(kernel))
+    return kernel, tuple(part if part is None else _frozen(part) for part in split)
 
 
 @lru_cache(maxsize=_SHAPES)
@@ -227,7 +251,7 @@ def assemble(
     config: BasisConfig,
     kind: str,
     scalar: float,
-    kernel: Callable[[np.ndarray, np.ndarray], np.ndarray],
+    kernel: Expr | Callable[[np.ndarray, np.ndarray], np.ndarray],
     forcing: Callable[[np.ndarray], np.ndarray],
     m: int,
     n: int,
@@ -237,23 +261,35 @@ def assemble(
 ) -> AssembledSystem:
     """Check the problem, then project its data and build its operators.
 
-    kernel and forcing must be numpy-vectorized, as project_kernel and
-    project_function describe.  difference_kernel=True promises that kernel
-    is a function of t - s alone; project_kernel then samples only t-blocks
-    0 and q - 1, and the system's kernel is block Toeplitz, equal to the
-    full projection to rounding.
+    kernel is an exprlang tree in t and s or a numpy-vectorized callable, as
+    project_kernel describes; forcing is a numpy-vectorized callable, as
+    project_function describes.  A tree's projection and split (C, diagonal,
+    E, W) are kept read-only for the last basis._SHAPES (config, kind, tree)
+    keys, so a sweep over the scalar, forcing or ics projects its kernel
+    once; whether it is a function of t - s alone is read off the tree.  A
+    callable, which may close over state that changes, is projected on every
+    call into arrays of the system's own; difference_kernel=True promises
+    that it is a function of t - s alone.  project_kernel samples a
+    difference kernel on t-blocks 0 and q - 1 only, so the system's kernel
+    is block Toeplitz, equal to the full projection to rounding.
     """
     scalar, m, n, ics = float(scalar), int(m), int(n), tuple(float(a) for a in ics)
     check_problem(kind, scalar, m, n, ics)
+    if isinstance(kernel, get_args(Expr)):
+        kernel, split = _expression_kernel(config, kind, kernel)
+    else:
+        kernel = project_kernel(config, kernel, difference_kernel=difference_kernel)
+        split = None
     return AssembledSystem(
         config=config,
         kind=kind,
         scalar=scalar,
-        kernel=project_kernel(config, kernel, difference_kernel=difference_kernel),
+        kernel=kernel,
         forcing=project_function(config, forcing),
         m=m,
         n=n,
         ics=ics,
+        _split=split,
     )
 
 

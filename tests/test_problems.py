@@ -10,12 +10,13 @@ import pytest
 from legpulse import solver
 from legpulse.basis import BasisConfig
 from legpulse.cli import main
-from legpulse.exprlang import evaluate, is_difference_kernel
+from legpulse.exprlang import evaluate, is_difference_kernel, parse_expression
 from legpulse.problems import (
     DEFAULT_GRID,
     GridRow,
     ProblemFileError,
     ProblemSpec,
+    RunFailure,
     emit_csv,
     format_report,
     load_problem,
@@ -575,9 +576,50 @@ def test_run_samples_block_row_and_column_exactly_for_difference_kernels(monkeyp
         return project(config, g, **options)
 
     monkeypatch.setattr(solver, "project_kernel", spy)
+    # an earlier test may have left this kernel's projection in the cache
+    solver._expression_kernel.cache_clear()
     text = DOMAIN_ERROR_TEXT.format(kernel=kernel, f="exp(t)").replace("lambda = 1", "lambda = 0.1")
     assert run(parse_problem(text)).report.converged
     assert seen == [{"difference_kernel": difference}]
+
+
+@pytest.mark.parametrize("kind", ["fredholm", "volterra"])
+def test_runs_that_share_kernel_kind_and_shape_project_the_kernel_once(monkeypatch, kind):
+    seen = []
+    project = solver.project_kernel
+
+    def spy(config, g, **options):
+        seen.append(config)
+        return project(config, g, **options)
+
+    monkeypatch.setattr(solver, "project_kernel", spy)
+    solver._expression_kernel.cache_clear()
+    base = parse_problem(VOLTERRA_TEXT if kind == "volterra" else FREDHOLM_TEXT)
+    sweep = [dataclasses.replace(base, scalar=scalar) for scalar in (0.1, 0.2, -0.3)]
+    sweep.append(
+        dataclasses.replace(base, forcing=parse_expression("exp(t) + t"), initial_conditions=(2.0,))
+    )
+    outputs = [run(spec) for spec in sweep]
+    assert len(seen) == 1
+    # a shared projection gives the answers of one made for each run
+    for spec, output in zip(sweep, outputs):
+        solver._expression_kernel.cache_clear()
+        alone = run(spec)
+        assert alone.report.Y.tobytes() == output.report.Y.tobytes()
+        assert emit_csv(alone.rows) == emit_csv(output.rows)
+
+
+def test_kernel_domain_error_is_not_cached():
+    solver._expression_kernel.cache_clear()
+    spec = parse_problem(DOMAIN_ERROR_TEXT.format(kernel="log(t - s)", f="t"))
+    messages = []
+    for _ in range(2):
+        with pytest.raises(RunFailure) as failure:
+            run(spec)
+        messages.append(str(failure.value))
+    assert messages[0] == messages[1]
+    assert "cannot evaluate log(t-s) for argument 0.0" in messages[0]
+    assert solver._expression_kernel.cache_info().currsize == 0
 
 
 # a warning from numpy would otherwise be printed to stderr above the error

@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from legpulse import solver
 from legpulse.basis import _SHAPES, BasisConfig, _projection_data, project_function, reconstruct
-from legpulse.exprlang import ExprEvalError, evaluate, parse_expression
+from legpulse.exprlang import ExprEvalError, evaluate, is_difference_kernel, parse_expression
 from legpulse.opmatrices import (
     build_J,
     build_L,
@@ -539,16 +539,109 @@ def test_shape_caches_share_no_problem_data():
         np.testing.assert_array_equal(solve(system).Y, solve(rebuilt).Y)
 
 
+# expression kernels, difference and not, with the numpy callables they equal
+KERNELS = {
+    "exp(t - s)": lambda t, s: np.exp(t - s),
+    "1": lambda t, s: 1.0,
+    "cos(5*t*s)": lambda t, s: np.cos(5 * t * s),
+}
+SPLIT = ("kernel", "C", "diagonal", "E", "W")
+
+
+def _tree_system(cfg, kind, tree, scalar=0.7):
+    return assemble(cfg, kind, scalar, tree, np.exp, 1, 0, (1.0,))
+
+
+@pytest.mark.parametrize("text", list(KERNELS))
+@pytest.mark.parametrize("kind", ["fredholm", "volterra"])
+@pytest.mark.parametrize("r,q", SHAPES + BENCH_SHAPES)
+def test_expression_kernel_gives_the_callables_system_bit_for_bit(r, q, kind, text):
+    cfg, tree = BasisConfig(q=q, r=r), parse_expression(text)
+    solver._expression_kernel.cache_clear()
+    for m, n in ORDERS:
+        ics = tuple(0.5 + 0.25 * i for i in range(max(m, n)))
+        by_tree = assemble(cfg, kind, 0.3, tree, np.exp, m, n, ics)
+        by_callable = assemble(
+            cfg, kind, 0.3, KERNELS[text], np.exp, m, n, ics,
+            difference_kernel=is_difference_kernel(tree),
+        )
+        for name in SPLIT:
+            ours, theirs = getattr(by_tree, name), getattr(by_callable, name)
+            if ours is None:
+                assert theirs is None and kind == "fredholm"
+            else:
+                assert ours.tobytes() == theirs.tobytes(), name
+        assert solve(by_tree).Y.tobytes() == solve(by_callable).Y.tobytes()
+    # the first order pair missed, the other eight shared its entry
+    assert solver._expression_kernel.cache_info().misses == 1
+
+
+@pytest.mark.parametrize("kind", ["fredholm", "volterra"])
+def test_expression_kernel_is_projected_once_per_key_and_shared_read_only(kind):
+    cfg = BasisConfig(q=4, r=3)
+    solver._expression_kernel.cache_clear()
+    first = _tree_system(cfg, kind, parse_expression("exp(t - s)"))
+    # an equal tree parsed anew, another scalar: the same key
+    second = _tree_system(cfg, kind, parse_expression("exp(t - s)"), scalar=-1.2)
+    assert solver._expression_kernel.cache_info().currsize == 1
+    for name in SPLIT:
+        shared = getattr(first, name)
+        assert getattr(second, name) is shared
+        if shared is not None:
+            with pytest.raises(ValueError, match="read-only"):
+                shared.flat[0] = 1.0
+    assert first.forcing is not second.forcing and first.a is not second.a
+
+
+def test_expression_kernel_keys_are_kind_shape_and_tree():
+    cfg, tree = BasisConfig(q=4, r=3), parse_expression("exp(t - s)")
+    solver._expression_kernel.cache_clear()
+    base = _tree_system(cfg, "volterra", tree)
+    others = [
+        _tree_system(cfg, "fredholm", tree),
+        _tree_system(BasisConfig(q=3, r=3), "volterra", tree),
+        _tree_system(cfg, "volterra", parse_expression("cos(5*t*s)")),
+    ]
+    assert solver._expression_kernel.cache_info().currsize == 4
+    for other in others:
+        assert other.kernel is not base.kernel and other.C is not base.C
+    # replace splits the kernel anew for the new kind, into arrays of its own
+    volterra = dataclasses.replace(others[0], kind="volterra")
+    assert volterra.kernel is others[0].kernel and volterra.W.flags.writeable
+    for name in SPLIT:
+        assert getattr(volterra, name).tobytes() == getattr(base, name).tobytes(), name
+    fredholm = dataclasses.replace(base, kind="fredholm")
+    assert fredholm.C is base.kernel and fredholm.W is None
+    assert solver._expression_kernel.cache_info().currsize == 4
+
+
+def test_callable_kernels_are_projected_on_every_call():
+    cfg, coefficient = BasisConfig(q=4, r=3), [1.0]
+
+    def kernel(t, s):
+        return coefficient[0] * np.exp(t - s)
+
+    solver._expression_kernel.cache_clear()
+    first = assemble(cfg, "volterra", 0.7, kernel, np.exp, 1, 0, (1.0,))
+    coefficient[0] = 2.0
+    second = assemble(cfg, "volterra", 0.7, kernel, np.exp, 1, 0, (1.0,))
+    np.testing.assert_array_equal(second.kernel, 2.0 * first.kernel)
+    np.testing.assert_array_equal(second.W, 2.0 * first.W)
+    assert first.kernel.flags.writeable and first.W.flags.writeable
+    assert solver._expression_kernel.cache_info().currsize == 0
+
+
 def test_shape_caches_keep_the_last_few_shapes():
     # a sweep over r must not keep every shape's (r, r, r, r) product tensor
     caches = (
         _projection_data, build_P, build_L, build_J, build_triple_tensor,
         build_product_tensor, solver._lift_rows, solver._carried_hessian,
-        solver._stencil_points,
+        solver._stencil_points, solver._expression_kernel,
     )
     assert all(cache.cache_parameters()["maxsize"] == _SHAPES for cache in caches)
+    kernel = parse_expression("sin(t - s)")
     for r in range(2, 2 + 2 * _SHAPES):
-        assemble(BasisConfig(q=2, r=r), "volterra", 1.0, lambda t, s: np.sin(t - s), np.exp, 0, 1, (0.0,))
+        assemble(BasisConfig(q=2, r=r), "volterra", 1.0, kernel, np.exp, 0, 1, (0.0,))
         derivative_max(np.exp, r)
     assert build_product_tensor.cache_info().currsize == _SHAPES
     assert all(cache.cache_info().currsize <= _SHAPES for cache in caches)
