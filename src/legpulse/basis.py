@@ -11,7 +11,7 @@ rules of the projections, the only quadrature, from Newton's method on p_n.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, wraps
 from typing import Callable
 
 import numpy as np
@@ -24,6 +24,21 @@ _GRID_BASES = 8
 # solver too): the (r, r, r, r) product tensor is 50 MB at r = 50, so a
 # sweep over r must not keep every shape it passed
 _SHAPES = 4
+
+
+def _shape_cache(maxsize: int = _SHAPES) -> Callable:
+    """lru_cache(maxsize) over a build whose result, an array or a tuple of
+    arrays and Nones, is made read-only before it is kept: every caller of
+    the same key gets the same arrays, and none can change them."""
+    def decorate(build: Callable) -> Callable:
+        def read_only(*args, **kwargs):
+            result = build(*args, **kwargs)
+            for part in result if isinstance(result, tuple) else (result,):
+                if part is not None:
+                    part.setflags(write=False)
+            return result
+        return lru_cache(maxsize)(wraps(build)(read_only))
+    return decorate
 
 
 @dataclass(frozen=True)
@@ -94,9 +109,9 @@ def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
     return x, w * (2.0 / w.sum())
 
 
-@lru_cache(maxsize=_SHAPES)
+@_shape_cache()
 def _projection_data(config: BasisConfig):
-    """Per-block quadrature nodes, weights and Legendre values, cached.
+    """Per-block quadrature nodes, weights and Legendre values.
 
     Returns (ts, w, leg, scale) with ts[k-1, i] = node x_i mapped into block
     k, leg[m, i] = p_m(x_i) and scale[m] = (2m + 1) / 2.
@@ -144,13 +159,14 @@ def project_function(
 ) -> np.ndarray:
     """L2 projection of f onto the hybrid space, a (dim,) coefficient vector.
 
-    f must be numpy-vectorized: it is called once, on the (q, quad_points)
-    array of all quadrature nodes.  Coefficient (k, m) is q(2m+1) times the
-    integral of f against the basis function over block k, evaluated with
-    the per-block Gauss rule.  The integrand is f times a Legendre polynomial
-    of degree up to r - 1, so the projection is exact whenever f restricted
-    to the block is a polynomial of degree <= 2*quad_points - r.  Raises ValueError
-    when f or the projection is not finite.
+    f must be numpy-vectorized: it is called once, on the read-only
+    (q, quad_points) array of all quadrature nodes.  Coefficient (k, m) is
+    q(2m+1) times the integral of f against the basis function over block k,
+    evaluated with the per-block Gauss rule.  The integrand is f times a
+    Legendre polynomial of degree up to r - 1, so the projection is exact
+    whenever f restricted to the block is a polynomial of degree
+    <= 2*quad_points - r.  Raises ValueError when f or the projection is not
+    finite.
     """
     ts, w, leg, scale = _projection_data(config)
     vals = np.broadcast_to(np.asarray(f(ts), dtype=float), ts.shape)
@@ -190,10 +206,10 @@ def project_kernel(
     g must be numpy-vectorized: it is called on whole t-blocks, as many per
     call as fit in _KERNEL_SAMPLES samples and at least one, in block order,
     with t of shape (c, quad_points, 1, 1) and s of shape (q, quad_points),
-    the quadrature nodes.  Entry (i, j) pairs basis function i in t with
-    basis function j in s, normalized like the 1-D projection in each
-    variable; the integral is a tensor-product Gauss rule over each block
-    pair.  Raises ValueError when g or the projection is not finite.
+    the quadrature nodes, both read-only.  Entry (i, j) pairs basis function
+    i in t with basis function j in s, normalized like the 1-D projection in
+    each variable; the integral is a tensor-product Gauss rule over each
+    block pair.  Raises ValueError when g or the projection is not finite.
 
     difference_kernel=True promises that g is a function of t - s alone.
     Blocks have equal width and the same Gauss offsets, so block (k, l) of
@@ -231,11 +247,9 @@ def project_kernel(
     return view.reshape(dim, dim)
 
 
-@lru_cache(maxsize=_GRID_BASES)
+@_shape_cache(_GRID_BASES)
 def _grid_basis(config: BasisConfig, grid: tuple) -> np.ndarray:
-    basis = eval_basis(config, grid)
-    basis.setflags(write=False)
-    return basis
+    return eval_basis(config, grid)
 
 
 def reconstruct(config: BasisConfig, y: np.ndarray, t: ArrayLike):

@@ -10,9 +10,9 @@ batch axes. The product tensor holds the block product of two coefficient
 matrices as a bilinear form, for the Volterra part of Newton's Jacobian.
 Everything here is in closed form: the triple products are Adams' formula.
 
-The build_* functions depend on the config alone, so each result is built
-once per config, cached for the last basis._SHAPES configs, and returned
-read-only.
+The build_* functions depend on the config alone, so each is built once
+per config and kept by basis._shape_cache, the one cache of data fixed by
+the basis shape: for the last basis._SHAPES configs, and read-only.
 
 Products of basis functions have degree up to 2(r-1); projecting them back
 into the degree-(r-1) space silently drops the higher modes. That truncation
@@ -21,11 +21,9 @@ is inherent to the method and is applied uniformly here.
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 import numpy as np
 
-from .basis import _SHAPES, BasisConfig
+from .basis import BasisConfig, _shape_cache
 
 
 def _integration_block(r: int, q: int) -> np.ndarray:
@@ -47,13 +45,7 @@ def _integration_block(r: int, q: int) -> np.ndarray:
     return E / (2 * q)
 
 
-def _frozen(a: np.ndarray) -> np.ndarray:
-    # the caches hand the same array to every caller
-    a.setflags(write=False)
-    return a
-
-
-@lru_cache(maxsize=_SHAPES)
+@_shape_cache()
 def build_P(config: BasisConfig) -> np.ndarray:
     """Operational matrix of integration, (dim, dim).
 
@@ -68,18 +60,18 @@ def build_P(config: BasisConfig) -> np.ndarray:
         P[k * r : (k + 1) * r, k * r : (k + 1) * r] = E
         for kp in range(k + 1, q):
             P[k * r, kp * r] = 1.0 / q
-    return _frozen(P)
+    return P
 
 
-@lru_cache(maxsize=_SHAPES)
+@_shape_cache()
 def build_L(config: BasisConfig) -> np.ndarray:
     """Gram matrix of the basis, (dim, dim): diagonal with 1/((2m+1)q) per
     (k, m) slot."""
     diag = np.tile(1.0 / ((2.0 * np.arange(config.r) + 1.0) * config.q), config.q)
-    return _frozen(np.diag(diag))
+    return np.diag(diag)
 
 
-@lru_cache(maxsize=_SHAPES)
+@_shape_cache()
 def build_J(config: BasisConfig) -> np.ndarray:
     """Inverse transpose of the integration matrix, (dim, dim): (P^T)^-1 exactly.
 
@@ -97,10 +89,10 @@ def build_J(config: BasisConfig) -> np.ndarray:
     k, l = np.indices((q, q))
     T = np.where(k > l, (-1.0) ** (r * (k - l - 1)), 0.0)
     J = np.kron(np.eye(q), D) - 2.0 * np.kron(T, np.outer(D[:, 0], D[0]))
-    return _frozen(2.0 * q * J)
+    return 2.0 * q * J
 
 
-@lru_cache(maxsize=_SHAPES)
+@_shape_cache()
 def build_triple_tensor(config: BasisConfig) -> np.ndarray:
     """All normalized triple products of block-local Legendre polynomials.
 
@@ -121,10 +113,10 @@ def build_triple_tensor(config: BasisConfig) -> np.ndarray:
     s = (i + j + m) // 2
     t = np.zeros((r, r, r))
     t[i, j, m] = (2 * m + 1) / (2 * s + 1) * (a[s - i] * a[s - j] * a[s - m] / a[s])
-    return _frozen(t)
+    return t
 
 
-@lru_cache(maxsize=_SHAPES)
+@_shape_cache()
 def build_product_tensor(config: BasisConfig) -> np.ndarray:
     """Products Z[j, l] = T_j T_l, shape (r, r, r, r), of the coefficient
     matrices T_j = t[j] of one block's basis functions, t the triple tensor:
@@ -132,7 +124,7 @@ def build_product_tensor(config: BasisConfig) -> np.ndarray:
     is the bilinear form sum_{j,l} u_j v_l Z[j, l] of its coefficients.
     """
     t = build_triple_tensor(config)
-    return _frozen(t[:, None] @ t[None, :])
+    return t[:, None] @ t[None, :]
 
 
 def coeff_matrix(c: np.ndarray, tensor: np.ndarray) -> np.ndarray:
@@ -146,9 +138,9 @@ def coeff_matrix(c: np.ndarray, tensor: np.ndarray) -> np.ndarray:
     basis functions of different blocks have disjoint support.
     """
     r = tensor.shape[0]
-    # block[i, m] = sum_j c_j t[i, j, m]: contract j in one matmul
-    by_j = tensor.transpose(1, 0, 2).reshape(r, r * r)
-    blocks = c.reshape(c.shape[:-1] + (-1, r)) @ by_j
+    # block[i, m] = sum_j c_j t[i, j, m] = sum_j c_j t[j, i, m], as the triple
+    # tensor is bitwise symmetric in i and j: contract j in one matmul
+    blocks = c.reshape(c.shape[:-1] + (-1, r)) @ tensor.reshape(r, r * r)
     return blocks.reshape(blocks.shape[:-1] + (r, r))
 
 

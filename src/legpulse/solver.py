@@ -18,16 +18,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .basis import _SHAPES, BasisConfig, project_function, project_kernel
+from .basis import BasisConfig, _shape_cache, project_function, project_kernel
 from .exprlang import Expr, evaluate, is_difference_kernel
 from .lift import lift, lift_offset
 from .opmatrices import (
-    _frozen,
     _integration_block,
     build_J,
     build_product_tensor,
@@ -125,14 +123,13 @@ class AssembledSystem:
     K_kk are bitwise equal, as for a difference kernel's block-Toeplitz
     projection; _jacobian then broadcasts its one block.
 
-    The tensor, A and Z0 depend on the config (and A on m and n) alone, so
-    they are kept for the last basis._SHAPES shapes, shared read-only by all
-    systems of the same shape; a is the system's own.  kernel, C, diagonal,
-    E and W depend on the config, kind and kernel alone.  A tree is
-    projected and split once for the last basis._SHAPES (config, kind,
-    tree) keys, and kernel becomes its projection, read-only and shared
-    with every system built from an equal tree.  A kernel array, as
-    dataclasses.replace passes it too, is split into arrays of its own.
+    The tensor, A and Z0 depend on the config (and A on m and n) alone, and
+    a tree's projection, which becomes kernel, and its split (C, diagonal, E,
+    W) on the config, kind and tree alone.  Each is built once per key and
+    kept by basis._shape_cache, for the last basis._SHAPES keys and
+    read-only, so every system with that key shares it.  a is the system's
+    own, and so is the split of a kernel array, as dataclasses.replace
+    passes it too.
     """
 
     config: BasisConfig
@@ -171,7 +168,7 @@ class AssembledSystem:
         if projected:
             split = _split_kernel(self.config, self.kind, self.kernel)
         else:
-            self.kernel, split = _expression_kernel(self.config, self.kind, self.kernel)
+            self.kernel, *split = _expression_kernel(self.config, self.kind, self.kernel)
         self.C, self.diagonal, self.E, self.W = split
 
 
@@ -194,31 +191,30 @@ def _split_kernel(config: BasisConfig, kind: str, kernel: np.ndarray) -> tuple:
     return C, diagonal, E, _hessian(W.reshape(-1, r, r, r))
 
 
-@lru_cache(maxsize=_SHAPES)
+@_shape_cache()
 def _expression_kernel(config: BasisConfig, kind: str, tree: Expr) -> tuple:
-    """The projected kernel of an expression tree and its _split_kernel for kind,
-    all read-only.  A tree of t - s alone is sampled on two t-blocks only."""
+    """The projected kernel of an expression tree, then its _split_kernel for
+    kind.  A tree of t - s alone is sampled on two t-blocks only."""
     kernel = project_kernel(
         config, lambda t, s: evaluate(tree, t, s), difference_kernel=is_difference_kernel(tree)
     )
-    split = _split_kernel(config, kind, _frozen(kernel))
-    return kernel, tuple(part if part is None else _frozen(part) for part in split)
+    return (kernel, *_split_kernel(config, kind, kernel))
 
 
-@lru_cache(maxsize=_SHAPES)
+@_shape_cache()
 def _lift_rows(config: BasisConfig, m: int, n: int) -> np.ndarray:
-    """AssembledSystem.A for config, m and n, read-only: the one cache of J^m, J^n."""
+    """AssembledSystem.A for config, m and n: the one cache of J^m, J^n."""
     q, r, dim = config.q, config.r, config.dim
     J = build_J(config)
     rows = [np.linalg.matrix_power(J, k).reshape(q, r, dim) for k in (m, n)]
-    return _frozen(np.concatenate(rows, axis=1))
+    return np.concatenate(rows, axis=1)
 
 
-@lru_cache(maxsize=_SHAPES)
+@_shape_cache()
 def _carried_hessian(config: BasisConfig) -> np.ndarray:
-    """AssembledSystem.Z0 for config, read-only, from Z[j, l, c, 0] = t[c, j, l] / (2l + 1)."""
+    """AssembledSystem.Z0 for config, from Z[j, l, c, 0] = t[c, j, l] / (2l + 1)."""
     t = build_triple_tensor(config)
-    return _frozen(_hessian(t.transpose(1, 2, 0) / (2.0 * np.arange(config.r) + 1.0)[:, None]))
+    return _hessian(t.transpose(1, 2, 0) / (2.0 * np.arange(config.r) + 1.0)[:, None])
 
 
 def _hessian(Q: np.ndarray) -> np.ndarray:
@@ -259,27 +255,24 @@ def assemble(
     m: int,
     n: int,
     ics: Sequence[float] = (),
-    *,
-    difference_kernel: bool = False,
 ) -> AssembledSystem:
     """Check the problem, then project its data and build its operators.
 
     kernel is an exprlang tree in t and s or a numpy-vectorized callable, as
     project_kernel describes; forcing is a numpy-vectorized callable, as
     project_function describes.  A tree's projection and split (C, diagonal,
-    E, W) are kept read-only for the last basis._SHAPES (config, kind, tree)
-    keys, so a sweep over the scalar, forcing or ics projects its kernel
-    once; whether it is a function of t - s alone is read off the tree.  A
-    callable, which may close over state that changes, is projected on every
-    call into arrays of the system's own; difference_kernel=True promises
-    that it is a function of t - s alone.  project_kernel samples a
-    difference kernel on t-blocks 0 and q - 1 only, so the system's kernel
-    is block Toeplitz, equal to the full projection to rounding.
+    E, W) are kept by basis._shape_cache, read-only, as AssembledSystem
+    describes, so a sweep over the scalar, forcing or ics projects its kernel
+    once.  When the tree is a function of t - s alone, project_kernel samples
+    it on t-blocks 0 and q - 1 only, so the system's kernel is block
+    Toeplitz, equal to the full projection to rounding.  A callable, which
+    may close over state that changes, is projected in full on every call,
+    into arrays of the system's own.
     """
     scalar, m, n, ics = float(scalar), int(m), int(n), tuple(float(a) for a in ics)
     check_problem(kind, scalar, m, n, ics)
     if callable(kernel):
-        kernel = project_kernel(config, kernel, difference_kernel=difference_kernel)
+        kernel = project_kernel(config, kernel)
     return AssembledSystem(
         config=config,
         kind=kind,
@@ -478,12 +471,13 @@ def error_bound(mu: int, M: float) -> float:
     return num / (den * 2 ** (2 * mu + 1) * math.factorial(mu + 1))
 
 
-@lru_cache(maxsize=_SHAPES)
-def _stencil_points(order: int) -> np.ndarray:
-    """Every point derivative_max samples at order >= 1, read-only, shape
-    (2, order + 1, _SAMPLES): row (0, i) is the grid shifted by
-    (order / 2 - i) 2h, row (1, i) the same with step h, in the order the
-    stencil sums take them."""
+@_shape_cache()
+def _stencil(order: int) -> tuple:
+    """derivative_max's stencil at order >= 1: every point it samples, shape
+    (2, order + 1, _SAMPLES), where row (0, i) is the grid shifted by
+    (order / 2 - i) 2h and row (1, i) the same with step h, in the order the
+    stencil sums take them; the weights (-1)^i C(order, i), shape
+    (order + 1, 1); and the step powers (2h)^order and h^order, shape (2, 1)."""
     coarse_h = 2.0 * _STEP
     reach = (order / 2.0) * coarse_h
     a, b = _LO + reach, _HI - reach
@@ -493,7 +487,9 @@ def _stencil_points(order: int) -> np.ndarray:
         )
     steps = np.array([coarse_h, _STEP])[:, None, None]
     shifts = (order / 2.0 - np.arange(order + 1))[:, None] * steps
-    return _frozen(np.linspace(a, b, _SAMPLES) + shifts)
+    weights = np.array([(-1.0) ** i * math.comb(order, i) for i in range(order + 1)])
+    powers = np.array([coarse_h**order, _STEP**order])
+    return np.linspace(a, b, _SAMPLES) + shifts, weights[:, None], powers[:, None]
 
 
 def derivative_max(f: Callable[[np.ndarray], np.ndarray], order: int) -> float:
@@ -512,12 +508,9 @@ def derivative_max(f: Callable[[np.ndarray], np.ndarray], order: int) -> float:
         raise ValueError(f"order must be nonnegative, got {order}")
     if order == 0:
         return float(np.max(np.abs(f(np.linspace(_LO, _HI, _SAMPLES)))))
-    weights = np.array([(-1.0) ** i * math.comb(order, i) for i in range(order + 1)])
-    points = _stencil_points(order)
+    points, weights, powers = _stencil(order)
     values = np.broadcast_to(np.asarray(f(points), dtype=float), points.shape)
-    coarse, fine = (
-        sum(w * v for w, v in zip(weights, values[j])) / h**order
-        for j, h in enumerate((2.0 * _STEP, _STEP))
-    )
+    # both steps' stencil sums in one pass, adding the offsets' rows left to right
+    coarse, fine = sum(np.moveaxis(weights * values, 1, 0)) / powers
     refined = (4.0 * fine - coarse) / 3.0
     return float(np.max(np.abs(refined)))

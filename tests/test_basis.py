@@ -289,6 +289,32 @@ def test_kernel_projection_reports_bad_kernel():
         project_kernel(cfg, lambda t, s: float("inf"))
 
 
+def test_callables_cannot_write_to_the_cached_nodes():
+    # the nodes are kept per shape, so a callable that wrote to them would
+    # change every later projection of that shape
+    cfg = BasisConfig(q=3, r=4)
+
+    def kernel(t, s):
+        return np.exp(t - s)
+
+    def doubling(t):
+        t *= 2.0
+        return np.exp(t)
+
+    def shifting(t, s):
+        s += 1.0
+        return np.exp(t - s)
+
+    before = project_function(cfg, np.exp), project_kernel(cfg, kernel)
+    with pytest.raises(ValueError, match="read-only"):
+        project_function(cfg, doubling)
+    with pytest.raises(ValueError, match="read-only"):
+        project_kernel(cfg, shifting)
+    after = project_function(cfg, np.exp), project_kernel(cfg, kernel)
+    for old, new in zip(before, after):
+        np.testing.assert_array_equal(new, old)
+
+
 def test_reconstruct_affine_closed_form():
     cfg = BasisConfig(q=1, r=2)
     Y = np.array([E - 1.0, 9.0 - 3.0 * E])

@@ -161,9 +161,11 @@ def _legendre(m, x):
 
 
 def test_triple_tensor_symmetry_and_parity():
-    cfg = BasisConfig(q=2, r=6)
-    t = build_triple_tensor(cfg)
-    np.testing.assert_allclose(t, np.swapaxes(t, 0, 1), atol=1e-14)
+    # coeff_matrix contracts t[j, i, m] for t[i, j, m], so the symmetry is exact
+    for r in range(1, 41):
+        t = build_triple_tensor(BasisConfig(q=2, r=r))
+        np.testing.assert_array_equal(t, np.swapaxes(t, 0, 1))
+    t = build_triple_tensor(BasisConfig(q=2, r=6))
     for i in range(6):
         for j in range(6):
             for m in range(6):

@@ -10,7 +10,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from legpulse import solver
-from legpulse.basis import _SHAPES, BasisConfig, _projection_data, project_function, reconstruct
+from legpulse.basis import (
+    _SHAPES,
+    BasisConfig,
+    _grid_basis,
+    _projection_data,
+    project_function,
+    project_kernel,
+    reconstruct,
+)
 from legpulse.exprlang import ExprEvalError, evaluate, is_difference_kernel, parse_expression
 from legpulse.opmatrices import (
     build_J,
@@ -20,6 +28,7 @@ from legpulse.opmatrices import (
     build_triple_tensor,
 )
 from legpulse.solver import (
+    AssembledSystem,
     _hessian,
     _jacobian,
     _step_length,
@@ -562,9 +571,10 @@ def test_expression_kernel_gives_the_callables_system_bit_for_bit(r, q, kind, te
         ics = tuple(0.5 + 0.25 * i for i in range(max(m, n)))
         by_tree = assemble(cfg, kind, 0.3, tree, np.exp, m, n, ics)
         kernels.append(by_tree.kernel)
-        by_callable = assemble(
-            cfg, kind, 0.3, KERNELS[text], np.exp, m, n, ics,
-            difference_kernel=is_difference_kernel(tree),
+        by_callable = AssembledSystem(
+            cfg, kind, 0.3,
+            project_kernel(cfg, KERNELS[text], difference_kernel=is_difference_kernel(tree)),
+            project_function(cfg, np.exp), m, n, ics,
         )
         for name in SPLIT:
             ours, theirs = getattr(by_tree, name), getattr(by_callable, name)
@@ -629,20 +639,37 @@ def test_callable_kernels_are_projected_on_every_call():
     assert solver._expression_kernel.cache_info() == before
 
 
+SHAPE_CACHES = (
+    _projection_data, build_P, build_L, build_J, build_triple_tensor,
+    build_product_tensor, solver._lift_rows, solver._carried_hessian,
+    solver._stencil, solver._expression_kernel,
+)
+
+
 def test_shape_caches_keep_the_last_few_shapes():
     # a sweep over r must not keep every shape's (r, r, r, r) product tensor
-    caches = (
-        _projection_data, build_P, build_L, build_J, build_triple_tensor,
-        build_product_tensor, solver._lift_rows, solver._carried_hessian,
-        solver._stencil_points, solver._expression_kernel,
-    )
-    assert all(cache.cache_parameters()["maxsize"] == _SHAPES for cache in caches)
+    assert all(cache.cache_parameters()["maxsize"] == _SHAPES for cache in SHAPE_CACHES)
     kernel = parse_expression("sin(t - s)")
     for r in range(2, 2 + 2 * _SHAPES):
         assemble(BasisConfig(q=2, r=r), "volterra", 1.0, kernel, np.exp, 0, 1, (0.0,))
         derivative_max(np.exp, r)
     assert build_product_tensor.cache_info().currsize == _SHAPES
-    assert all(cache.cache_info().currsize <= _SHAPES for cache in caches)
+    assert all(cache.cache_info().currsize <= _SHAPES for cache in SHAPE_CACHES)
+
+
+@pytest.mark.parametrize("kind", ["fredholm", "volterra"])
+def test_every_cache_returns_read_only_arrays(kind):
+    cfg, tree, grid = BasisConfig(q=3, r=4), parse_expression("exp(t - s)"), (0.0, 0.25, 0.5)
+    keys = {
+        solver._lift_rows: (cfg, 1, 2),
+        solver._stencil: (3,),
+        solver._expression_kernel: (cfg, kind, tree),
+    }
+    results = {cache: cache(*keys.get(cache, (cfg,))) for cache in SHAPE_CACHES}
+    results[_grid_basis] = _grid_basis(cfg, grid)
+    for cache, result in results.items():
+        for part in result if isinstance(result, tuple) else (result,):
+            assert part is None or not part.flags.writeable, cache.__name__
 
 
 def _q_block_W(system):
@@ -657,8 +684,7 @@ def _q_block_W(system):
 def test_difference_kernel_builds_one_W_block(r, q):
     cfg = BasisConfig(q=q, r=r)
     system = assemble(
-        cfg, "volterra", 1.3, lambda t, s: np.exp(t - s), np.exp, 1, 2, (1.0, 1.0),
-        difference_kernel=True,
+        cfg, "volterra", 1.3, parse_expression("exp(t - s)"), np.exp, 1, 2, (1.0, 1.0)
     )
     assert system.W.shape[0] == 1
     full = copy.copy(system)
@@ -779,8 +805,8 @@ def test_step_length_is_the_two_norm_minimizer_for_a_rank_1_kernel():
         scalar, b = rng.uniform(0.5, 2.0), rng.uniform(0.6, 1.4)
         c = scalar * b * math.expm1(2.0 * b - 1.0) / (2.0 * b - 1.0)
         system = assemble(
-            cfg, "fredholm", scalar, lambda t, s: np.exp(t - s),
-            lambda t: np.exp(b * t) + c * np.exp(t), 0, 1, (1.0,), difference_kernel=True,
+            cfg, "fredholm", scalar, parse_expression("exp(t - s)"),
+            lambda t: np.exp(b * t) + c * np.exp(t), 0, 1, (1.0,),
         )
         y = system.forcing
         res = residual(system, y)
