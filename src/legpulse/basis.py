@@ -17,6 +17,8 @@ from typing import Callable
 import numpy as np
 from numpy.typing import ArrayLike
 
+from .exprlang import Expr, evaluate, is_difference_kernel
+
 # how many (config, grid) pairs reconstruct keeps the basis values of: a
 # process that solves a few problems in turn reuses each one's grid
 _GRID_BASES = 8
@@ -195,34 +197,35 @@ def _sample_kernel(g, t: np.ndarray, s: np.ndarray) -> np.ndarray:
 
 
 def project_kernel(
-    config: BasisConfig,
-    g: Callable[[np.ndarray, np.ndarray], np.ndarray],
-    *,
-    difference_kernel: bool = False,
+    config: BasisConfig, kernel: Expr | Callable[[np.ndarray, np.ndarray], np.ndarray]
 ) -> np.ndarray:
-    """L2 projection of a two-variable kernel g(t, s) onto the tensor basis,
-    a (dim, dim) array.
+    """L2 projection of a two-variable kernel onto the tensor basis, a (dim,
+    dim) array; kernel is an exprlang tree in t and s, sampled through
+    evaluate, or a numpy-vectorized callable g(t, s).
 
-    g must be numpy-vectorized: it is called on whole t-blocks, as many per
-    call as fit in _KERNEL_SAMPLES samples and at least one, in block order,
-    with t of shape (c, quad_points, 1, 1) and s of shape (q, quad_points),
-    the quadrature nodes, both read-only.  Entry (i, j) pairs basis function
-    i in t with basis function j in s, normalized like the 1-D projection in
-    each variable; the integral is a tensor-product Gauss rule over each
-    block pair.  Raises ValueError when g or the projection is not finite.
+    The kernel is sampled on whole t-blocks, as many per call as fit in
+    _KERNEL_SAMPLES samples and at least one, in block order, with t of shape
+    (c, quad_points, 1, 1) and s of shape (q, quad_points), the quadrature
+    nodes, both read-only.  Entry (i, j) pairs basis function i in t with
+    basis function j in s, normalized like the 1-D projection in each
+    variable; the integral is a tensor-product Gauss rule over each block
+    pair.  Raises ValueError when a sample or the projection is not finite.
 
-    difference_kernel=True promises that g is a function of t - s alone.
+    A tree for which is_difference_kernel holds is a function of t - s alone.
     Blocks have equal width and the same Gauss offsets, so block (k, l) of
-    the projection then depends on k - l only: the result is block Toeplitz,
-    and block rows 0 and q - 1 between them hold every offset.  With q > 2,
-    g is then called on t-blocks 0 and q - 1 only, in the same way, and the
+    its projection depends on k - l only: the result is block Toeplitz, and
+    block rows 0 and q - 1 between them hold every offset.  With q > 2 such a
+    tree is sampled on t-blocks 0 and q - 1 only, in the same way, and the
     result equals the full projection to rounding; with q <= 2 those are all
-    the t-blocks, and the result is the full projection.
+    the t-blocks, and the result is the full projection.  A callable is
+    always sampled on every t-block.
     """
     ts, w, leg, scale = _projection_data(config)
     q, r, dim = config.q, config.r, config.dim
     wleg = scale[:, None] * leg * w
-    two_rows = difference_kernel and q > 2
+    tree = isinstance(kernel, Expr)
+    g = (lambda t, s: evaluate(kernel, t, s)) if tree else kernel
+    two_rows = tree and q > 2 and is_difference_kernel(kernel)
     rows = ts[:: q - 1] if two_rows else ts  # t-blocks 0 and q - 1, or all
     step = max(1, _KERNEL_SAMPLES // (ts.size * ts.shape[1]))
     projected = np.empty((len(rows) * r, dim))

@@ -23,7 +23,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .basis import BasisConfig, _shape_cache, project_function, project_kernel
-from .exprlang import Expr, evaluate, is_difference_kernel
+from .exprlang import Expr
 from .lift import lift, lift_offset
 from .opmatrices import (
     _integration_block,
@@ -105,7 +105,8 @@ class AssembledSystem:
     are the derivative orders inside the integrand, and ics holds the
     max(m, n) initial conditions y(0) .. y^(max(m, n)-1)(0), all checked by
     check_problem.  kernel is a (dim, dim) array or an exprlang tree in t
-    and s, and forcing a (dim,) array, all for config.
+    and s, which project_kernel projects, and forcing a (dim,) array, all for
+    config.
 
     Everything else is built here from those fields: the (r, r, r) triple
     tensor t; the split of the kernel that the integral core reads, C, the
@@ -193,11 +194,9 @@ def _split_kernel(config: BasisConfig, kind: str, kernel: np.ndarray) -> tuple:
 
 @_shape_cache()
 def _expression_kernel(config: BasisConfig, kind: str, tree: Expr) -> tuple:
-    """The projected kernel of an expression tree, then its _split_kernel for
-    kind.  A tree of t - s alone is sampled on two t-blocks only."""
-    kernel = project_kernel(
-        config, lambda t, s: evaluate(tree, t, s), difference_kernel=is_difference_kernel(tree)
-    )
+    """project_kernel's projection of an expression tree, then its
+    _split_kernel for kind."""
+    kernel = project_kernel(config, tree)
     return (kernel, *_split_kernel(config, kind, kernel))
 
 
@@ -258,16 +257,14 @@ def assemble(
 ) -> AssembledSystem:
     """Check the problem, then project its data and build its operators.
 
-    kernel is an exprlang tree in t and s or a numpy-vectorized callable, as
-    project_kernel describes; forcing is a numpy-vectorized callable, as
-    project_function describes.  A tree's projection and split (C, diagonal,
-    E, W) are kept by basis._shape_cache, read-only, as AssembledSystem
-    describes, so a sweep over the scalar, forcing or ics projects its kernel
-    once.  When the tree is a function of t - s alone, project_kernel samples
-    it on t-blocks 0 and q - 1 only, so the system's kernel is block
-    Toeplitz, equal to the full projection to rounding.  A callable, which
-    may close over state that changes, is projected in full on every call,
-    into arrays of the system's own.
+    kernel is an exprlang tree in t and s or a numpy-vectorized callable, and
+    forcing a numpy-vectorized callable, projected as project_kernel and
+    project_function describe: a tree of t - s alone is sampled on two
+    t-blocks, and a callable on all.  A tree's projection and split (C,
+    diagonal, E, W) are kept by basis._shape_cache, read-only, as
+    AssembledSystem describes, so a sweep over the scalar, forcing or ics
+    projects its kernel once.  A callable, which may close over state that
+    changes, is projected on every call, into arrays of the system's own.
     """
     scalar, m, n, ics = float(scalar), int(m), int(n), tuple(float(a) for a in ics)
     check_problem(kind, scalar, m, n, ics)

@@ -25,6 +25,7 @@ from legpulse.basis import (
     project_kernel,
     reconstruct,
 )
+from legpulse.exprlang import evaluate, parse_expression
 
 E = math.e
 
@@ -189,9 +190,10 @@ def test_kernel_projection_in_chunks_equals_one_shot(r, q):
         np.testing.assert_array_equal(project_kernel(cfg, g), _one_shot_kernel(cfg, g))
 
 
-def _recording_projection(cfg, difference_kernel):
-    # project exp(t - s), checking every call against the one call contract;
-    # returns the t-blocks g saw, in order, one array per call
+def _recording_projection(monkeypatch, cfg, tree=None):
+    # project exp(t - s) as a callable, or as tree through a spy on
+    # basis.evaluate, checking every sample call against the one call
+    # contract; returns the t-blocks sampled, in order, one array per call
     ts = _projection_data(cfg)[0]
     Q = cfg.quad_points
     calls = []
@@ -203,28 +205,33 @@ def _recording_projection(cfg, difference_kernel):
         assert t.shape[0] * s.size * Q <= _KERNEL_SAMPLES or t.shape[0] == 1
         return np.exp(t - s)
 
-    project_kernel(cfg, recording, difference_kernel=difference_kernel)
+    if tree is None:
+        project_kernel(cfg, recording)
+    else:
+        monkeypatch.setattr(basis, "evaluate", lambda _, t, s: recording(t, s))
+        project_kernel(cfg, tree)
     return calls
 
 
 @pytest.mark.parametrize("r, q", CHUNK_SHAPES)
-def test_kernel_is_called_on_whole_t_blocks_within_the_budget(r, q):
+def test_kernel_is_called_on_whole_t_blocks_within_the_budget(monkeypatch, r, q):
     cfg = BasisConfig(q=q, r=r)
     ts = _projection_data(cfg)[0]
-    calls = _recording_projection(cfg, difference_kernel=False)
+    calls = _recording_projection(monkeypatch, cfg)
     np.testing.assert_array_equal(np.concatenate(calls), ts)
     per_call = max(1, _KERNEL_SAMPLES // (ts.size * cfg.quad_points))
     assert len(calls) == -(-q // per_call)
 
 
 @pytest.mark.parametrize("r, q", CHUNK_SHAPES)
-def test_difference_kernel_is_called_on_block_row_0_then_column_0(r, q):
+def test_difference_kernel_is_called_on_block_row_0_then_column_0(monkeypatch, r, q):
     # K(k, l) depends on k - l only, so its block row 0 (offsets 0 .. -(q - 1))
-    # and block column 0 (offsets 0 .. q - 1) fix it; g is called on t-blocks
-    # 0 and q - 1, which hold exactly those offsets, through the full path's loop
+    # and block column 0 (offsets 0 .. q - 1) fix it; the tree is evaluated on
+    # t-blocks 0 and q - 1, which hold exactly those offsets, through the full
+    # path's loop
     cfg = BasisConfig(q=q, r=r)
     ts = _projection_data(cfg)[0]
-    calls = _recording_projection(cfg, difference_kernel=True)
+    calls = _recording_projection(monkeypatch, cfg, parse_expression("exp(t - s)"))
     sampled = [0, q - 1] if q > 2 else list(range(q))
     np.testing.assert_array_equal(np.concatenate(calls), ts[sampled])
     offsets = {k - l for k in sampled for l in range(q)}
@@ -245,31 +252,28 @@ def test_kernel_projection_names_first_bad_node_of_a_later_chunk():
         project_kernel(cfg, g)
 
 
-DIFFERENCE_KERNELS = {
-    "exp(t-s)": lambda t, s: np.exp(t - s),
-    "sin(s-t)": lambda t, s: np.sin(s - t),
-    "1/(1+(t-s)^2)": lambda t, s: 1.0 / (1.0 + (t - s) ** 2),
-    "exp(-abs(t-s))": lambda t, s: np.exp(-np.abs(t - s)),
-    "1": lambda t, s: 1.0,
-}
+DIFFERENCE_KERNELS = ("exp(t-s)", "sin(s-t)", "1/(1+(t-s)^2)", "exp(-abs(t-s))", "1")
 
 
 @pytest.mark.parametrize("r, q", CHUNK_SHAPES)
 def test_difference_kernel_projection_equals_the_full_one(r, q):
-    # the full projection is the oracle; the two differ only in how t - s
-    # rounds at nodes of equal block offset, and not at all while q <= 2,
-    # where block rows 0 and q - 1 are all the rows
+    # the full projection of the same tree, as a callable, is the oracle; the
+    # two differ only in how t - s rounds at nodes of equal block offset, and
+    # not at all while q <= 2, where block rows 0 and q - 1 are all the rows
     cfg = BasisConfig(q=q, r=r)
-    for name, g in DIFFERENCE_KERNELS.items():
-        full = project_kernel(cfg, g)
-        toeplitz = project_kernel(cfg, g, difference_kernel=True)
+    for text in DIFFERENCE_KERNELS:
+        tree = parse_expression(text)
+        full = project_kernel(cfg, lambda t, s: evaluate(tree, t, s))
+        toeplitz = project_kernel(cfg, tree)
         tol = 4 * np.finfo(float).eps * np.abs(full).max()
-        np.testing.assert_allclose(toeplitz, full, rtol=0, atol=tol, err_msg=name)
+        np.testing.assert_allclose(toeplitz, full, rtol=0, atol=tol, err_msg=text)
         if q <= 2:
-            np.testing.assert_array_equal(toeplitz, full, err_msg=name)
+            np.testing.assert_array_equal(toeplitz, full, err_msg=text)
 
 
-def test_difference_kernel_names_its_first_bad_sampled_node():
+def test_difference_kernel_names_its_first_bad_sampled_node(monkeypatch):
+    # a tree cannot sample inf, since evaluate raises first, so a spy on
+    # basis.evaluate stands in for the tree's samples
     cfg = BasisConfig(q=40, r=3)
     ts = _projection_data(cfg)[0]
     g = lambda t, s: np.where(t - s > 0.9, np.inf, np.exp(t - s))  # noqa: E731
@@ -279,8 +283,9 @@ def test_difference_kernel_names_its_first_bad_sampled_node():
     # t-block q - 1, sampled in the second call: one t-block is over the budget
     assert k == 1 and ts.size * cfg.quad_points > _KERNEL_SAMPLES
     message = f"kernel returned inf at node (t={float(rows[k, a])!r}, s={float(ts[l, b])!r})"
+    monkeypatch.setattr(basis, "evaluate", lambda tree, t, s: g(t, s))
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-        project_kernel(cfg, g, difference_kernel=True)
+        project_kernel(cfg, parse_expression("exp(t - s)"))
 
 
 def test_kernel_projection_reports_bad_kernel():
@@ -486,7 +491,7 @@ def test_coeff_vector_validation():
 
 # the overflow is reported by the ValueError alone, with no numpy warning
 @pytest.mark.filterwarnings("error")
-def test_projections_reject_overflow_of_finite_samples():
+def test_projections_reject_overflow_of_finite_samples(monkeypatch):
     # every sample is finite, but the weighted sums exceed the float range
     cfg = BasisConfig(q=1, r=2)
     with pytest.raises(ValueError, match="coefficient vector contains non-finite"):
@@ -494,6 +499,8 @@ def test_projections_reject_overflow_of_finite_samples():
     # the order-1 rows sum (3/2)|p_1| against a kernel of sign p_1(t)
     with pytest.raises(ValueError, match="operator matrix contains non-finite"):
         project_kernel(cfg, lambda t, s: 1.5e308 * np.sign(t - 0.5) + 0.0 * s)
-    # and on the difference path, in the diagonal blocks of sign(t - s)
+    # and on the difference path, in the diagonal blocks of sign(t - s), which
+    # a spy on basis.evaluate samples for the tree t - s
+    monkeypatch.setattr(basis, "evaluate", lambda tree, t, s: 1.5e308 * np.sign(t - s))
     with pytest.raises(ValueError, match="operator matrix contains non-finite"):
-        project_kernel(BasisConfig(q=3, r=2), lambda t, s: 1.5e308 * np.sign(t - s), difference_kernel=True)
+        project_kernel(BasisConfig(q=3, r=2), parse_expression("t - s"))

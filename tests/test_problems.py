@@ -7,8 +7,8 @@ import re
 import numpy as np
 import pytest
 
-from legpulse import solver
-from legpulse.basis import BasisConfig
+from legpulse import basis, solver
+from legpulse.basis import BasisConfig, block_of
 from legpulse.cli import main
 from legpulse.exprlang import evaluate, is_difference_kernel, parse_expression
 from legpulse.problems import (
@@ -446,21 +446,42 @@ def test_bundled_problem_files_load():
         assert out.report.converged
 
 
+# each bundled file's difference kernel, then the same kernel not written in t - s
+PRODUCT_SPELLINGS = {
+    "fredholm_exp.prob": ("exp(t - s)", "exp(t)*exp(-s)"),
+    "volterra_sin.prob": ("sin(t - s)", "sin(t)*cos(s) - cos(t)*sin(s)"),
+}
+
+
 @pytest.mark.parametrize("q", [12, 40])
 def test_difference_kernel_spelled_as_a_product_gives_the_same_solution(q):
-    # exp(t)*exp(-s) is not written in t - s, so it takes the full projection,
-    # while exp(t - s) takes t-blocks 0 and q - 1 only; from q = 28 up each
-    # kernel call takes one t-block, over the sample budget
+    # the product takes the full projection, and for Volterra q distinct W
+    # blocks, while the difference takes t-blocks 0 and q - 1 only and one W
+    # block; from q = 28 up each kernel call takes one t-block, over the
+    # sample budget
     from pathlib import Path
 
-    text = (Path(__file__).resolve().parent.parent / "problems" / "fredholm_exp.prob").read_text()
-    spellings = [parse_problem(text), parse_problem(text.replace("exp(t - s)", "exp(t)*exp(-s)"))]
-    assert [is_difference_kernel(spec.kernel) for spec in spellings] == [True, False]
-    toeplitz, full = (run(dataclasses.replace(spec, r=3, q=q)) for spec in spellings)
-    assert toeplitz.report.converged and full.report.converged
-    np.testing.assert_allclose(
-        [row.y_approx for row in toeplitz.rows], [row.y_approx for row in full.rows], rtol=1e-10, atol=0
-    )
+    for name, (difference, product) in PRODUCT_SPELLINGS.items():
+        text = (Path(__file__).resolve().parent.parent / "problems" / name).read_text()
+        spellings = [parse_problem(text), parse_problem(text.replace(difference, product))]
+        assert [is_difference_kernel(spec.kernel) for spec in spellings] == [True, False]
+        toeplitz, full = (run(dataclasses.replace(spec, r=3, q=q)) for spec in spellings)
+        assert toeplitz.report.converged and full.report.converged
+        if spellings[0].kind == "volterra":
+            # each run's cached split, whose W holds one block or q
+            blocks = [
+                len(solver._expression_kernel(out.config, "volterra", out.spec.kernel)[-1])
+                for out in (toeplitz, full)
+            ]
+            assert blocks == [1, q]
+        # volterra_sin's y(0) = 0 needs an absolute floor in the t = 0 row
+        np.testing.assert_allclose(
+            [row.y_approx for row in toeplitz.rows],
+            [row.y_approx for row in full.rows],
+            rtol=1e-10,
+            atol=1e-14,
+            err_msg=name,
+        )
 
 
 @pytest.mark.parametrize(
@@ -568,19 +589,28 @@ def test_log_kernel_names_the_first_diagonal_node_on_either_projection_path(tmp_
     ],
 )
 def test_run_samples_block_row_and_column_exactly_for_difference_kernels(monkeypatch, kernel, difference):
-    seen = []
-    project = solver.project_kernel
+    # at q = 4 a difference kernel's t-blocks 0 and q - 1 are two of the four
+    text = DOMAIN_ERROR_TEXT.format(kernel=kernel, f="exp(t)").replace("lambda = 1", "lambda = 0.1")
+    spec = parse_problem(text.replace("q = 2", "q = 4"))
+    config = BasisConfig(q=spec.q, r=spec.r)
+    seen, blocks = [], []
+    project, sample = solver.project_kernel, basis.evaluate
 
-    def spy(config, g, **options):
-        seen.append(options)
-        return project(config, g, **options)
+    def spy(cfg, tree):
+        seen.append(tree)
+        return project(cfg, tree)
+
+    def recording(tree, t, s):
+        blocks.extend(block_of(config, t[:, 0, 0, 0]) - 1)
+        return sample(tree, t, s)
 
     monkeypatch.setattr(solver, "project_kernel", spy)
+    monkeypatch.setattr(basis, "evaluate", recording)
     # an earlier test may have left this kernel's projection in the cache
     solver._expression_kernel.cache_clear()
-    text = DOMAIN_ERROR_TEXT.format(kernel=kernel, f="exp(t)").replace("lambda = 1", "lambda = 0.1")
-    assert run(parse_problem(text)).report.converged
-    assert seen == [{"difference_kernel": difference}]
+    assert run(spec).report.converged
+    assert len(seen) == 1 and seen[0] is spec.kernel
+    assert blocks == ([0, config.q - 1] if difference else list(range(config.q)))
 
 
 @pytest.mark.parametrize("kind", ["fredholm", "volterra"])
@@ -588,9 +618,9 @@ def test_runs_that_share_kernel_kind_and_shape_project_the_kernel_once(monkeypat
     seen = []
     project = solver.project_kernel
 
-    def spy(config, g, **options):
+    def spy(config, kernel):
         seen.append(config)
-        return project(config, g, **options)
+        return project(config, kernel)
 
     monkeypatch.setattr(solver, "project_kernel", spy)
     solver._expression_kernel.cache_clear()
