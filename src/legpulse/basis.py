@@ -19,28 +19,23 @@ from numpy.typing import ArrayLike
 
 from .exprlang import Expr, evaluate, is_difference_kernel
 
-# how many (config, grid) pairs reconstruct keeps the basis values of: a
-# process that solves a few problems in turn reuses each one's grid
-_GRID_BASES = 8
-# how many shapes every cache of per-shape data keeps (for opmatrices and
-# solver too): the (r, r, r, r) product tensor is 50 MB at r = 50, so a
-# sweep over r must not keep every shape it passed
+# how many keys every cache of per-shape data keeps (for opmatrices and
+# solver too): Z0 and a Volterra W are 4 MB each at r = 50, so a sweep
+# over r must not keep every shape it passed
 _SHAPES = 4
 
 
-def _shape_cache(maxsize: int = _SHAPES) -> Callable:
-    """lru_cache(maxsize) over a build whose result, an array or a tuple of
+def _shape_cache(build: Callable) -> Callable:
+    """lru_cache(_SHAPES) over a build whose result, an array or a tuple of
     arrays and Nones, is made read-only before it is kept: every caller of
     the same key gets the same arrays, and none can change them."""
-    def decorate(build: Callable) -> Callable:
-        def read_only(*args, **kwargs):
-            result = build(*args, **kwargs)
-            for part in result if isinstance(result, tuple) else (result,):
-                if part is not None:
-                    part.setflags(write=False)
-            return result
-        return lru_cache(maxsize)(wraps(build)(read_only))
-    return decorate
+    def read_only(*args, **kwargs):
+        result = build(*args, **kwargs)
+        for part in result if isinstance(result, tuple) else (result,):
+            if part is not None:
+                part.setflags(write=False)
+        return result
+    return lru_cache(_SHAPES)(wraps(build)(read_only))
 
 
 @dataclass(frozen=True)
@@ -111,7 +106,7 @@ def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
     return x, w * (2.0 / w.sum())
 
 
-@_shape_cache()
+@_shape_cache
 def _projection_data(config: BasisConfig):
     """Per-block quadrature nodes, weights and Legendre values.
 
@@ -250,7 +245,7 @@ def project_kernel(
     return view.reshape(dim, dim)
 
 
-@_shape_cache(_GRID_BASES)
+@_shape_cache
 def _grid_basis(config: BasisConfig, grid: tuple) -> np.ndarray:
     return eval_basis(config, grid)
 
@@ -259,7 +254,7 @@ def reconstruct(config: BasisConfig, y: np.ndarray, t: ArrayLike):
     """Value at t, a point or an array of points in [0, 1), of the function
     with hybrid coefficients y, a (dim,) array; a float or an array of t's
     shape.  A tuple t, the type of ProblemSpec.grid, is a grid: its basis
-    values are kept for the last _GRID_BASES pairs of config and grid."""
+    values are kept for the last _SHAPES pairs of config and grid."""
     y = np.asarray(y, dtype=float)
     if y.shape != (config.dim,):
         raise ValueError(

@@ -10,9 +10,10 @@ batch axes. The product tensor holds the block product of two coefficient
 matrices as a bilinear form, for the Volterra part of Newton's Jacobian.
 Everything here is in closed form: the triple products are Adams' formula.
 
-The build_* functions depend on the config alone, so each is built once
-per config and kept by basis._shape_cache, the one cache of data fixed by
-the basis shape: for the last basis._SHAPES configs, and read-only.
+The build_* functions depend on the config alone.  build_J and
+build_triple_tensor, which every solve reads, are kept by basis._shape_cache
+per config, read-only; build_P, build_L and the (r, r, r, r) product tensor,
+which a solve reads at most once, return a new array on every call.
 
 Products of basis functions have degree up to 2(r-1); projecting them back
 into the degree-(r-1) space silently drops the higher modes. That truncation
@@ -45,7 +46,6 @@ def _integration_block(r: int, q: int) -> np.ndarray:
     return E / (2 * q)
 
 
-@_shape_cache()
 def build_P(config: BasisConfig) -> np.ndarray:
     """Operational matrix of integration, (dim, dim).
 
@@ -63,7 +63,6 @@ def build_P(config: BasisConfig) -> np.ndarray:
     return P
 
 
-@_shape_cache()
 def build_L(config: BasisConfig) -> np.ndarray:
     """Gram matrix of the basis, (dim, dim): diagonal with 1/((2m+1)q) per
     (k, m) slot."""
@@ -71,7 +70,7 @@ def build_L(config: BasisConfig) -> np.ndarray:
     return np.diag(diag)
 
 
-@_shape_cache()
+@_shape_cache
 def build_J(config: BasisConfig) -> np.ndarray:
     """Inverse transpose of the integration matrix, (dim, dim): (P^T)^-1 exactly.
 
@@ -92,7 +91,7 @@ def build_J(config: BasisConfig) -> np.ndarray:
     return 2.0 * q * J
 
 
-@_shape_cache()
+@_shape_cache
 def build_triple_tensor(config: BasisConfig) -> np.ndarray:
     """All normalized triple products of block-local Legendre polynomials.
 
@@ -116,7 +115,6 @@ def build_triple_tensor(config: BasisConfig) -> np.ndarray:
     return t
 
 
-@_shape_cache()
 def build_product_tensor(config: BasisConfig) -> np.ndarray:
     """Products Z[j, l] = T_j T_l, shape (r, r, r, r), of the coefficient
     matrices T_j = t[j] of one block's basis functions, t the triple tensor:

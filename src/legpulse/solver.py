@@ -192,7 +192,7 @@ def _split_kernel(config: BasisConfig, kind: str, kernel: np.ndarray) -> tuple:
     return C, diagonal, E, _hessian(W.reshape(-1, r, r, r))
 
 
-@_shape_cache()
+@_shape_cache
 def _expression_kernel(config: BasisConfig, kind: str, tree: Expr) -> tuple:
     """project_kernel's projection of an expression tree, then its
     _split_kernel for kind."""
@@ -200,7 +200,7 @@ def _expression_kernel(config: BasisConfig, kind: str, tree: Expr) -> tuple:
     return (kernel, *_split_kernel(config, kind, kernel))
 
 
-@_shape_cache()
+@_shape_cache
 def _lift_rows(config: BasisConfig, m: int, n: int) -> np.ndarray:
     """AssembledSystem.A for config, m and n: the one cache of J^m, J^n."""
     q, r, dim = config.q, config.r, config.dim
@@ -209,7 +209,7 @@ def _lift_rows(config: BasisConfig, m: int, n: int) -> np.ndarray:
     return np.concatenate(rows, axis=1)
 
 
-@_shape_cache()
+@_shape_cache
 def _carried_hessian(config: BasisConfig) -> np.ndarray:
     """AssembledSystem.Z0 for config, from Z[j, l, c, 0] = t[c, j, l] / (2l + 1)."""
     t = build_triple_tensor(config)
@@ -468,7 +468,7 @@ def error_bound(mu: int, M: float) -> float:
     return num / (den * 2 ** (2 * mu + 1) * math.factorial(mu + 1))
 
 
-@_shape_cache()
+@_shape_cache
 def _stencil(order: int) -> tuple:
     """derivative_max's stencil at order >= 1: every point it samples, shape
     (2, order + 1, _SAMPLES), where row (0, i) is the grid shifted by

@@ -359,7 +359,17 @@ def test_gram_matrix_matches_quadrature(q, r):
     np.testing.assert_allclose(build_L(cfg), gram, atol=1e-12)
 
 
-@pytest.mark.parametrize("build", [build_P, build_L, build_J, build_triple_tensor])
+@pytest.mark.parametrize("build", [build_P, build_L])
+def test_matrices_no_solve_reads_are_new_and_writable_on_every_call(build):
+    first = build(BasisConfig(q=3, r=2))
+    second = build(BasisConfig(q=3, r=2))
+    assert second is not first and not np.shares_memory(first, second)
+    np.testing.assert_array_equal(first, second)
+    first[0, 0] = 1.0
+    assert first.flags.writeable and second[0, 0] != 1.0
+
+
+@pytest.mark.parametrize("build", [build_J, build_triple_tensor])
 def test_shape_only_operators_are_built_once_and_read_only(build):
     # every caller shares the cached array, so none of them may write to it
     first = build(BasisConfig(q=3, r=2))

@@ -2,13 +2,17 @@
 
 import copy
 import dataclasses
+import importlib
 import math
+import pkgutil
 import random
+import weakref
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import legpulse
 from legpulse import solver
 from legpulse.basis import (
     _SHAPES,
@@ -494,18 +498,45 @@ def test_carried_hessian_is_read_off_the_triple_tensor(r, q):
     [(fredholm_exp_system, 0), (volterra_sin_system, 1)],
     ids=["fredholm", "volterra"],
 )
-def test_only_volterra_builds_the_product_tensor(build, builds):
+def test_only_volterra_builds_the_product_tensor(build, builds, monkeypatch):
     # Fredholm reads no r^4 product tensor, nor Volterra's E, diagonal or W
-    _clear_shape_caches()
-    build_product_tensor.cache_clear()
+    calls = []
+
+    def spy(config):
+        calls.append(config)
+        return build_product_tensor(config)
+
+    monkeypatch.setattr(solver, "build_product_tensor", spy)
     system = build()
     assert solve(system).converged
-    assert build_product_tensor.cache_info().currsize == builds
+    assert len(calls) == builds
     if system.kind == "fredholm":
         assert system.E is None and system.diagonal is None and system.W is None
     else:
         r = system.config.r
         np.testing.assert_array_equal(system.E, build_P(system.config)[:r, :r])
+
+
+@pytest.mark.parametrize(
+    "kernel",
+    [lambda t, s: np.sin(t - s), parse_expression("sin(t - s)")],
+    ids=["callable", "tree"],
+)
+def test_no_product_tensor_outlives_a_volterra_split(kernel, monkeypatch):
+    # W reads the (r, r, r, r) tensor once per kernel and shape, so none is kept
+    built = []
+
+    def spy(config):
+        Z = build_product_tensor(config)
+        built.append(weakref.ref(Z))
+        return Z
+
+    monkeypatch.setattr(solver, "build_product_tensor", spy)
+    solver._expression_kernel.cache_clear()
+    cfg = BasisConfig(q=2, r=7)
+    system = assemble(cfg, "volterra", 1.0, kernel, np.exp, 0, 1, (0.0,))
+    assert solve(system).converged
+    assert len(built) == 1 and built[0]() is None
 
 
 @pytest.mark.parametrize("r, q", [(3, 12), (12, 4), (8, 64)])
@@ -642,20 +673,28 @@ def test_callable_kernels_are_projected_on_every_call():
 
 
 SHAPE_CACHES = (
-    _projection_data, build_P, build_L, build_J, build_triple_tensor,
-    build_product_tensor, solver._lift_rows, solver._carried_hessian,
-    solver._stencil, solver._expression_kernel,
+    _projection_data, _grid_basis, build_J, build_triple_tensor, solver._lift_rows,
+    solver._carried_hessian, solver._stencil, solver._expression_kernel,
 )
 
 
+def test_shape_caches_are_every_cache_in_the_package():
+    found = set()
+    for info in pkgutil.iter_modules(legpulse.__path__):
+        module = importlib.import_module(f"legpulse.{info.name}")
+        found.update(value for value in vars(module).values() if hasattr(value, "cache_info"))
+    assert found == set(SHAPE_CACHES)
+
+
 def test_shape_caches_keep_the_last_few_shapes():
-    # a sweep over r must not keep every shape's (r, r, r, r) product tensor
+    # a sweep over r must not keep every shape's Z0 and W
     assert all(cache.cache_parameters()["maxsize"] == _SHAPES for cache in SHAPE_CACHES)
     kernel = parse_expression("sin(t - s)")
     for r in range(2, 2 + 2 * _SHAPES):
         assemble(BasisConfig(q=2, r=r), "volterra", 1.0, kernel, np.exp, 0, 1, (0.0,))
         derivative_max(np.exp, r)
-    assert build_product_tensor.cache_info().currsize == _SHAPES
+    assert solver._carried_hessian.cache_info().currsize == _SHAPES
+    assert solver._expression_kernel.cache_info().currsize == _SHAPES
     assert all(cache.cache_info().currsize <= _SHAPES for cache in SHAPE_CACHES)
 
 
@@ -666,9 +705,9 @@ def test_every_cache_returns_read_only_arrays(kind):
         solver._lift_rows: (cfg, 1, 2),
         solver._stencil: (3,),
         solver._expression_kernel: (cfg, kind, tree),
+        _grid_basis: (cfg, grid),
     }
     results = {cache: cache(*keys.get(cache, (cfg,))) for cache in SHAPE_CACHES}
-    results[_grid_basis] = _grid_basis(cfg, grid)
     for cache, result in results.items():
         for part in result if isinstance(result, tuple) else (result,):
             assert part is None or not part.flags.writeable, cache.__name__
