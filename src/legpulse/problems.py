@@ -248,8 +248,8 @@ class RunOutput:
 def run(spec: ProblemSpec, tol: float = TOL, max_iter: int = MAX_ITER) -> RunOutput:
     """Check tol and max_iter, then assemble, solve and tabulate one problem.
 
-    assemble gets the kernel's expression tree, so its projection, C and
-    Volterra's diagonal blocks, E and W are built once per shape, kind and
+    assemble gets the kernel's expression tree, so its split, C and
+    Volterra's diagonal blocks, E and W, is built once per shape, kind and
     kernel and shared by the runs after it (see solver.assemble); a kernel
     that is a function of t - s alone is sampled on t-blocks 0 and q - 1 only.
     """

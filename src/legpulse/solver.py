@@ -104,13 +104,13 @@ class AssembledSystem:
     (integral from 0 to t); scalar multiplies the integral term; m and n
     are the derivative orders inside the integrand, and ics holds the
     max(m, n) initial conditions y(0) .. y^(max(m, n)-1)(0), all checked by
-    check_problem.  kernel is a (dim, dim) array or an exprlang tree in t
-    and s, which project_kernel projects, and forcing a (dim,) array, all for
-    config.
+    check_problem.  kernel, kept as given, is a (dim, dim) array or an
+    exprlang tree in t and s, which project_kernel projects, and forcing a
+    (dim,) array, all for config.
 
     Everything else is built here from those fields: the (r, r, r) triple
     tensor t; the split of the kernel that the integral core reads, C, the
-    (dim, dim) carried kernel (kernel itself for Fredholm), diagonal, the
+    (dim, dim) carried kernel (its projection for Fredholm), diagonal, the
     (q, r, r) diagonal blocks of the kernel, and E, the (r, r) diagonal block
     of the integration matrix, both None for Fredholm; and the m-th and n-th
     lifts as one affine map y -> A y + a, grouped by block: A[k, :r] and
@@ -125,12 +125,11 @@ class AssembledSystem:
     projection; _jacobian then broadcasts its one block.
 
     The tensor, A and Z0 depend on the config (and A on m and n) alone, and
-    a tree's projection, which becomes kernel, and its split (C, diagonal, E,
-    W) on the config, kind and tree alone.  Each is built once per key and
-    kept by basis._shape_cache, for the last basis._SHAPES keys and
-    read-only, so every system with that key shares it.  a is the system's
-    own, and so is the split of a kernel array, as dataclasses.replace
-    passes it too.
+    a tree's split (C, diagonal, E, W) on the config, kind and tree alone.
+    Each is built once per key and kept by basis._shape_cache, for the last
+    basis._SHAPES keys and read-only, so every system with that key shares
+    it, a copy by dataclasses.replace included, whatever field it changes.
+    a is the system's own, and so is the split of a kernel array.
     """
 
     config: BasisConfig
@@ -166,11 +165,8 @@ class AssembledSystem:
         offsets = [lift_offset(k, self.ics, self.config) for k in (self.m, self.n)]
         self.a = np.concatenate([b.reshape(q, r) for b in offsets], axis=1)
         self.Z0 = _carried_hessian(self.config)
-        if projected:
-            split = _split_kernel(self.config, self.kind, self.kernel)
-        else:
-            self.kernel, *split = _expression_kernel(self.config, self.kind, self.kernel)
-        self.C, self.diagonal, self.E, self.W = split
+        split = _split_kernel if projected else _expression_kernel
+        self.C, self.diagonal, self.E, self.W = split(self.config, self.kind, self.kernel)
 
 
 def _split_kernel(config: BasisConfig, kind: str, kernel: np.ndarray) -> tuple:
@@ -194,10 +190,9 @@ def _split_kernel(config: BasisConfig, kind: str, kernel: np.ndarray) -> tuple:
 
 @_shape_cache
 def _expression_kernel(config: BasisConfig, kind: str, tree: Expr) -> tuple:
-    """project_kernel's projection of an expression tree, then its
-    _split_kernel for kind."""
-    kernel = project_kernel(config, tree)
-    return (kernel, *_split_kernel(config, kind, kernel))
+    """_split_kernel for kind of project_kernel's projection of an expression
+    tree.  Only the split is kept: for Volterra the projection is dropped."""
+    return _split_kernel(config, kind, project_kernel(config, tree))
 
 
 @_shape_cache
@@ -260,9 +255,9 @@ def assemble(
     kernel is an exprlang tree in t and s or a numpy-vectorized callable, and
     forcing a numpy-vectorized callable, projected as project_kernel and
     project_function describe: a tree of t - s alone is sampled on two
-    t-blocks, and a callable on all.  A tree's projection and split (C,
-    diagonal, E, W) are kept by basis._shape_cache, read-only, as
-    AssembledSystem describes, so a sweep over the scalar, forcing or ics
+    t-blocks, and a callable on all.  A tree stays the system's kernel, and
+    its split (C, diagonal, E, W) is kept by basis._shape_cache, read-only,
+    as AssembledSystem describes, so a sweep over the scalar, forcing or ics
     projects its kernel once.  A callable, which may close over state that
     changes, is projected on every call, into arrays of the system's own.
     """

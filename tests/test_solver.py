@@ -585,7 +585,7 @@ KERNELS = {
     "1": lambda t, s: 1.0,
     "cos(5*t*s)": lambda t, s: np.cos(5 * t * s),
 }
-SPLIT = ("kernel", "C", "diagonal", "E", "W")
+SPLIT = ("C", "diagonal", "E", "W")
 
 
 def _tree_system(cfg, kind, tree, scalar=0.7):
@@ -601,11 +601,12 @@ def test_expression_kernel_gives_the_callables_system_bit_for_bit(r, q, kind, te
     if not (is_difference_kernel(tree) and q > 2):
         # on the full path the tree and its numpy callable sample alike
         assert projected.tobytes() == project_kernel(cfg, KERNELS[text]).tobytes()
-    kernels = []
+    carried = []
     for m, n in ORDERS:
         ics = tuple(0.5 + 0.25 * i for i in range(max(m, n)))
         by_tree = assemble(cfg, kind, 0.3, tree, np.exp, m, n, ics)
-        kernels.append(by_tree.kernel)
+        assert by_tree.kernel is tree
+        carried.append(by_tree.C)
         by_callable = AssembledSystem(
             cfg, kind, 0.3, projected.copy(), project_function(cfg, np.exp), m, n, ics
         )
@@ -616,8 +617,11 @@ def test_expression_kernel_gives_the_callables_system_bit_for_bit(r, q, kind, te
             else:
                 assert ours.tobytes() == theirs.tobytes(), name
         assert solve(by_tree).Y.tobytes() == solve(by_callable).Y.tobytes()
-    # every order pair shares one entry
-    assert all(kernel is kernels[0] for kernel in kernels)
+    # every order pair shares one entry, which holds exactly the split
+    assert all(C is carried[0] for C in carried)
+    entry = solver._expression_kernel(cfg, kind, tree)
+    assert len(entry) == len(SPLIT)
+    assert all(part is getattr(by_tree, name) for part, name in zip(entry, SPLIT))
 
 
 @pytest.mark.parametrize("kind", ["fredholm", "volterra"])
@@ -626,6 +630,7 @@ def test_expression_kernel_is_projected_once_per_key_and_shared_read_only(kind):
     first = _tree_system(cfg, kind, parse_expression("exp(t - s)"))
     # an equal tree parsed anew, another scalar: the same key
     second = _tree_system(cfg, kind, parse_expression("exp(t - s)"), scalar=-1.2)
+    assert second.kernel is not first.kernel and second.kernel == first.kernel
     for name in SPLIT:
         shared = getattr(first, name)
         assert getattr(second, name) is shared
@@ -637,6 +642,7 @@ def test_expression_kernel_is_projected_once_per_key_and_shared_read_only(kind):
 
 def test_expression_kernel_keys_are_kind_shape_and_tree():
     cfg, tree = BasisConfig(q=4, r=3), parse_expression("exp(t - s)")
+    solver._expression_kernel.cache_clear()
     base = _tree_system(cfg, "volterra", tree)
     others = [
         _tree_system(cfg, "fredholm", tree),
@@ -644,16 +650,64 @@ def test_expression_kernel_keys_are_kind_shape_and_tree():
         _tree_system(cfg, "volterra", parse_expression("cos(5*t*s)")),
     ]
     for other in others:
-        assert other.kernel is not base.kernel and other.C is not base.C
-    # replace splits the kernel anew for the new kind, into arrays of its own
+        assert other.C is not base.C
+    # replace keeps the tree, so a change of kind reads that kind's entry
     before = solver._expression_kernel.cache_info()
     volterra = dataclasses.replace(others[0], kind="volterra")
-    assert volterra.kernel is others[0].kernel and volterra.W.flags.writeable
-    for name in SPLIT:
-        assert getattr(volterra, name).tobytes() == getattr(base, name).tobytes(), name
     fredholm = dataclasses.replace(base, kind="fredholm")
-    assert fredholm.C is base.kernel and fredholm.W is None
-    assert solver._expression_kernel.cache_info() == before
+    for name in SPLIT:
+        assert getattr(volterra, name) is getattr(base, name), name
+        assert getattr(fredholm, name) is getattr(others[0], name), name
+    after = solver._expression_kernel.cache_info()
+    assert (after.hits, after.misses) == (before.hits + 2, before.misses)
+
+
+def test_no_projection_outlives_a_volterra_split(monkeypatch):
+    # the cache keeps C beside the split, not the (dim, dim) projection it came from
+    projections = []
+
+    def spy(config, kernel):
+        K = project_kernel(config, kernel)
+        projections.append(weakref.ref(K))
+        return K
+
+    monkeypatch.setattr(solver, "project_kernel", spy)
+    solver._expression_kernel.cache_clear()
+    for kind in ("volterra", "fredholm"):
+        _tree_system(BasisConfig(q=8, r=4), kind, parse_expression("exp(t - s)"))
+    volterra, fredholm = (ref() for ref in projections)
+    assert volterra is None and fredholm is not None
+
+
+def test_replace_of_a_volterra_tree_system_reads_its_cache_entry(monkeypatch):
+    built = []
+
+    def spy(config):
+        built.append(config)
+        return build_product_tensor(config)
+
+    cfg, tree = BasisConfig(q=8, r=4), parse_expression("cos(5*t*s)")
+    source = _tree_system(cfg, "volterra", tree)
+    monkeypatch.setattr(solver, "build_product_tensor", spy)
+    copy = dataclasses.replace(source, scalar=-0.4)
+    assert copy.kernel is tree and built == []
+    for name in ("C", "diagonal", "W"):
+        assert getattr(copy, name) is getattr(source, name), name
+    assert solve(copy).Y.tobytes() == solve(_tree_system(cfg, "volterra", tree, -0.4)).Y.tobytes()
+
+
+@pytest.mark.parametrize("kind, other", [("fredholm", "volterra"), ("volterra", "fredholm")])
+def test_replace_to_the_other_kind_equals_assembly_from_the_tree(kind, other):
+    cfg, tree = BasisConfig(q=4, r=3), parse_expression("cos(5*t*s)")
+    solver._expression_kernel.cache_clear()
+    copy = dataclasses.replace(_tree_system(cfg, kind, tree), kind=other)
+    solver._expression_kernel.cache_clear()
+    direct = _tree_system(cfg, other, tree)
+    assert copy.kernel is tree
+    for name in SPLIT:
+        ours, theirs = getattr(copy, name), getattr(direct, name)
+        assert (ours is None and theirs is None) or ours.tobytes() == theirs.tobytes(), name
+    assert solve(copy).Y.tobytes() == solve(direct).Y.tobytes()
 
 
 def test_callable_kernels_are_projected_on_every_call():
