@@ -63,12 +63,6 @@ class BasisConfig:
         return max(24, self.r)
 
 
-# samples per kernel call in project_kernel: the most whole t-blocks whose float64
-# sample array stays under glibc's 128 KiB mmap threshold, so no call faults in
-# pages while one t-block fits (q <= 27 at quad_points 24), on either path
-_KERNEL_SAMPLES = 16_000
-
-
 def _legendre_values(x: np.ndarray, deg: int) -> np.ndarray:
     """p_0(x) .. p_deg(x), shape x.shape + (deg + 1,), from the recurrence
     (k + 1) p_{k+1} = (2k + 1) x p_k - k p_{k-1}: numpy's legvander, written
@@ -198,11 +192,10 @@ def project_kernel(
     dim) array; kernel is an exprlang tree in t and s, sampled through
     evaluate, or a numpy-vectorized callable g(t, s).
 
-    The kernel is sampled on whole t-blocks, as many per call as fit in
-    _KERNEL_SAMPLES samples and at least one, in block order, with t of shape
-    (c, quad_points, 1, 1) and s of shape (q, quad_points), the quadrature
-    nodes, both read-only.  Entry (i, j) pairs basis function i in t with
-    basis function j in s, normalized like the 1-D projection in each
+    The kernel is sampled one whole t-block per call, in block order, with t
+    of shape (1, quad_points, 1, 1) and s of shape (q, quad_points), the
+    quadrature nodes, both read-only.  Entry (i, j) pairs basis function i in
+    t with basis function j in s, normalized like the 1-D projection in each
     variable; the integral is a tensor-product Gauss rule over each block
     pair.  Raises ValueError when a sample or the projection is not finite.
 
@@ -222,15 +215,13 @@ def project_kernel(
     g = (lambda t, s: evaluate(kernel, t, s)) if tree else kernel
     two_rows = tree and q > 2 and is_difference_kernel(kernel)
     rows = ts[:: q - 1] if two_rows else ts  # t-blocks 0 and q - 1, or all
-    step = max(1, _KERNEL_SAMPLES // (ts.size * ts.shape[1]))
     projected = np.empty((len(rows) * r, dim))
-    for k0 in range(0, len(rows), step):
-        t = rows[k0 : k0 + step]
-        gv = _sample_kernel(g, t[:, :, None, None], ts)
-        # contract the t nodes of every block, then the s nodes
+    for k, t in enumerate(rows):
+        gv = _sample_kernel(g, t[None, :, None, None], ts)
+        # contract the block's t nodes, then the s nodes
         with np.errstate(over="ignore", invalid="ignore"):
-            half = (wleg @ gv.reshape(t.shape + (ts.size,))).reshape((-1,) + ts.shape)
-            projected[k0 * r : (k0 + step) * r] = (half @ wleg.T).reshape(-1, dim)
+            half = (wleg @ gv.reshape(t.size, ts.size)).reshape((r,) + ts.shape)
+            projected[k * r : (k + 1) * r] = (half @ wleg.T).reshape(r, dim)
     _require_finite(projected, "operator matrix")
     if not two_rows:
         return projected

@@ -23,7 +23,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .basis import BasisConfig, _shape_cache, project_function, project_kernel
-from .exprlang import Expr
+from .exprlang import Expr, ExprEvalError
 from .lift import lift, lift_offset
 from .opmatrices import (
     _integration_block,
@@ -191,8 +191,18 @@ def _split_kernel(config: BasisConfig, kind: str, kernel: np.ndarray) -> tuple:
 @_shape_cache
 def _expression_kernel(config: BasisConfig, kind: str, tree: Expr) -> tuple:
     """_split_kernel for kind of project_kernel's projection of an expression
-    tree.  Only the split is kept: for Volterra the projection is dropped."""
-    return _split_kernel(config, kind, project_kernel(config, tree))
+    tree.  Only the split is kept: for Volterra the projection is dropped.  A
+    Volterra tree's ExprEvalError says that it is sampled above t = s too."""
+    try:
+        kernel = project_kernel(config, tree)
+    except ExprEvalError as exc:
+        if kind == "fredholm":
+            raise
+        raise ExprEvalError(
+            f"{exc}; a Volterra kernel is sampled where s > t too, "
+            "though the integral reads only s <= t"
+        ) from exc
+    return _split_kernel(config, kind, kernel)
 
 
 @_shape_cache

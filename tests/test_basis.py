@@ -14,7 +14,6 @@ from numpy.polynomial.legendre import leggauss, legvander
 
 from legpulse import basis
 from legpulse.basis import (
-    _KERNEL_SAMPLES,
     BasisConfig,
     _gauss_legendre,
     _legendre_values,
@@ -170,7 +169,7 @@ def test_projections_match_blockwise_reference():
 
 def _one_shot_kernel(cfg, g):
     # the whole (q*Q)^2 grid in one kernel call and one contraction, the way
-    # project_kernel computed it before it was split into chunks of t-blocks
+    # project_kernel computed it before it was split into t-blocks
     ts, w, leg, scale = _projection_data(cfg)
     gv = np.broadcast_to(np.asarray(g(ts[:, :, None, None], ts), dtype=float), ts.shape * 2)
     wleg = scale[:, None] * leg * w
@@ -178,8 +177,8 @@ def _one_shot_kernel(cfg, g):
     return (half @ wleg.T).reshape(cfg.dim, cfg.dim)
 
 
-# one chunk, several equal chunks, a ragged last chunk, one block over the
-# budget per chunk, and a Gauss size above 24
+# one t-block, a few, 64, and a Gauss size above 24; each kernel call takes
+# one t-block, so a chunk is one call
 CHUNK_SHAPES = [(2, 1), (3, 4), (12, 4), (3, 12), (3, 13), (8, 64), (30, 2)]
 
 
@@ -193,16 +192,15 @@ def test_kernel_projection_in_chunks_equals_one_shot(r, q):
 def _recording_projection(monkeypatch, cfg, tree=None):
     # project exp(t - s) as a callable, or as tree through a spy on
     # basis.evaluate, checking every sample call against the one call
-    # contract; returns the t-blocks sampled, in order, one array per call
+    # contract, one whole t-block; returns the t-blocks sampled, in call order
     ts = _projection_data(cfg)[0]
     Q = cfg.quad_points
     calls = []
 
     def recording(t, s):
-        calls.append(t[:, :, 0, 0])
-        assert t.shape[1:] == (Q, 1, 1)
+        assert t.shape == (1, Q, 1, 1)
         np.testing.assert_array_equal(s, ts)
-        assert t.shape[0] * s.size * Q <= _KERNEL_SAMPLES or t.shape[0] == 1
+        calls.append(t[0, :, 0, 0])
         return np.exp(t - s)
 
     if tree is None:
@@ -218,9 +216,8 @@ def test_kernel_is_called_on_whole_t_blocks_within_the_budget(monkeypatch, r, q)
     cfg = BasisConfig(q=q, r=r)
     ts = _projection_data(cfg)[0]
     calls = _recording_projection(monkeypatch, cfg)
-    np.testing.assert_array_equal(np.concatenate(calls), ts)
-    per_call = max(1, _KERNEL_SAMPLES // (ts.size * cfg.quad_points))
-    assert len(calls) == -(-q // per_call)
+    assert len(calls) == q
+    np.testing.assert_array_equal(np.stack(calls), ts)
 
 
 @pytest.mark.parametrize("r, q", CHUNK_SHAPES)
@@ -233,11 +230,10 @@ def test_difference_kernel_is_called_on_block_row_0_then_column_0(monkeypatch, r
     ts = _projection_data(cfg)[0]
     calls = _recording_projection(monkeypatch, cfg, parse_expression("exp(t - s)"))
     sampled = [0, q - 1] if q > 2 else list(range(q))
-    np.testing.assert_array_equal(np.concatenate(calls), ts[sampled])
+    assert len(calls) == len(sampled)
+    np.testing.assert_array_equal(np.stack(calls), ts[sampled])
     offsets = {k - l for k in sampled for l in range(q)}
     assert offsets == set(range(-(q - 1), q))
-    per_call = max(1, _KERNEL_SAMPLES // (ts.size * cfg.quad_points))
-    assert len(calls) == -(-len(sampled) // per_call)
 
 
 def test_kernel_projection_names_first_bad_node_of_a_later_chunk():
@@ -246,7 +242,7 @@ def test_kernel_projection_names_first_bad_node_of_a_later_chunk():
     g = lambda t, s: np.where(t > 0.9, np.inf, np.exp(t - s))  # noqa: E731
     grid = np.broadcast_to(g(ts[:, :, None, None], ts), ts.shape * 2)
     k, a, l, b = np.argwhere(~np.isfinite(grid))[0]
-    assert k >= _KERNEL_SAMPLES // (ts.size * cfg.quad_points)  # past the first chunk
+    assert k > 0  # t-block k is sampled in call k + 1, after the first
     message = f"kernel returned inf at node (t={float(ts[k, a])!r}, s={float(ts[l, b])!r})"
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         project_kernel(cfg, g)
@@ -280,8 +276,8 @@ def test_difference_kernel_names_its_first_bad_sampled_node(monkeypatch):
     rows = ts[[0, cfg.q - 1]]
     grid = g(rows[:, :, None, None], ts)
     k, a, l, b = np.argwhere(~np.isfinite(grid))[0]
-    # t-block q - 1, sampled in the second call: one t-block is over the budget
-    assert k == 1 and ts.size * cfg.quad_points > _KERNEL_SAMPLES
+    # t-block q - 1, sampled in the second call
+    assert k == 1
     message = f"kernel returned inf at node (t={float(rows[k, a])!r}, s={float(ts[l, b])!r})"
     monkeypatch.setattr(basis, "evaluate", lambda tree, t, s: g(t, s))
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):

@@ -8,9 +8,9 @@ import numpy as np
 import pytest
 
 from legpulse import basis, solver
-from legpulse.basis import BasisConfig, block_of
+from legpulse.basis import BasisConfig, block_of, project_kernel
 from legpulse.cli import main
-from legpulse.exprlang import evaluate, is_difference_kernel, parse_expression
+from legpulse.exprlang import ExprEvalError, evaluate, is_difference_kernel, parse_expression
 from legpulse.problems import (
     DEFAULT_GRID,
     GridRow,
@@ -457,8 +457,7 @@ PRODUCT_SPELLINGS = {
 def test_difference_kernel_spelled_as_a_product_gives_the_same_solution(q):
     # the product takes the full projection, and for Volterra q distinct W
     # blocks, while the difference takes t-blocks 0 and q - 1 only and one W
-    # block; from q = 28 up each kernel call takes one t-block, over the
-    # sample budget
+    # block; each kernel call takes one t-block
     from pathlib import Path
 
     for name, (difference, product) in PRODUCT_SPELLINGS.items():
@@ -574,6 +573,31 @@ def test_log_kernel_names_the_first_diagonal_node_on_either_projection_path(tmp_
     problem.write_text(DOMAIN_ERROR_TEXT.format(kernel="log(t - s)", f="t").replace("q = 2", f"q = {q}"))
     assert main(["solve", str(problem)]) == 1
     assert "cannot evaluate log(t-s) for argument 0.0:" in capsys.readouterr().err
+
+
+VOLTERRA_SAMPLING = "a Volterra kernel is sampled where s > t too, though the integral reads only s <= t"
+
+
+@pytest.mark.parametrize("kernel", ["sqrt(t - s)", "1/(t - s)"])
+def test_volterra_kernel_that_fails_above_the_diagonal_says_it_is_sampled_there(tmp_path, capsys, kernel):
+    # the same tree fails in project_kernel for both kinds; only a Volterra
+    # run adds the clause, and a Fredholm run prints the evaluator's message
+    fredholm = DOMAIN_ERROR_TEXT.format(kernel=kernel, f="1").replace("r = 2\nq = 2", "r = 3\nq = 4")
+    volterra = fredholm.replace("kind = fredholm\nlambda", "kind = volterra\nbeta")
+    spec = parse_problem(fredholm)
+    with pytest.raises(ExprEvalError) as evaluation:
+        project_kernel(BasisConfig(q=spec.q, r=spec.r), spec.kernel)
+    expected = {
+        fredholm: f"could not assemble <string>: {evaluation.value}",
+        volterra: f"could not assemble <string>: {evaluation.value}; {VOLTERRA_SAMPLING}",
+    }
+    for text, message in expected.items():
+        with pytest.raises(RunFailure, match=f"^{re.escape(message)}$"):
+            run(parse_problem(text))
+        problem = tmp_path / "domain.prob"
+        problem.write_text(text)
+        assert main(["solve", str(problem)]) == 1
+        assert capsys.readouterr().err == message.replace("<string>", str(problem)) + "\n"
 
 
 @pytest.mark.parametrize(
