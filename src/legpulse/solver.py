@@ -22,8 +22,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .basis import BasisConfig, _shape_cache, project_function, project_kernel
-from .exprlang import Expr, ExprEvalError
+from .basis import BasisConfig, _projection_data, _shape_cache, project_function, project_kernel
+from .exprlang import Expr, ExprEvalError, evaluate
 from .lift import lift, lift_offset
 from .opmatrices import (
     _integration_block,
@@ -120,9 +120,7 @@ class AssembledSystem:
     as _hessian describes, of D_k e0 = sum_{j,l} u_kj v_kl t[:, j, l] / (2l + 1)
     and of hat(K_kk D_k E) = sum_{j,l} u_kj v_kl W_k[j, l], with W_k[j, l] =
     hat(K_kk Z[j, l] E), Z the product tensor, which only W builds.  W has shape
-    (q, 2r, 2r^2), one W_k per block, or (1, 2r, 2r^2) when the diagonal blocks
-    K_kk are bitwise equal, as for a difference kernel's block-Toeplitz
-    projection; _jacobian then broadcasts its one block.
+    (q, 2r, 2r^2), one W_k per block.
 
     The tensor, A and Z0 depend on the config (and A on m and n) alone, and
     a tree's split (C, diagonal, E, W) on the config, kind and tree alone.
@@ -178,30 +176,30 @@ def _split_kernel(config: BasisConfig, kind: str, kernel: np.ndarray) -> tuple:
     blocks = kernel.reshape(q, r, q, r)
     C = (blocks * np.tri(q, k=-1)[:, None, :, None]).reshape(dim, dim)
     diagonal = blocks[np.arange(q), :, np.arange(q)]
-    # equal bytes, not just equal values, so that one block gives the
-    # Jacobian of q blocks bit for bit
-    bits = diagonal.view(np.uint8)
-    distinct = diagonal[:1] if (bits == bits[0]).all() else diagonal
     # W_k[j, l] = sum_{c,d} Z[j, l, c, d] G_k[c, d], G_k[c, d] = hat(K_kk[:, c] E[d]^T)
-    G = distinct.swapaxes(1, 2) @ (E @ build_triple_tensor(config)).reshape(r, r * r)
-    W = build_product_tensor(config).reshape(r * r, r * r) @ G.reshape(-1, r * r, r)
-    return C, diagonal, E, _hessian(W.reshape(-1, r, r, r))
+    G = diagonal.swapaxes(1, 2) @ (E @ build_triple_tensor(config)).reshape(r, r * r)
+    W = build_product_tensor(config).reshape(r * r, r * r) @ G.reshape(q, r * r, r)
+    return C, diagonal, E, _hessian(W.reshape(q, r, r, r))
 
 
 @_shape_cache
 def _expression_kernel(config: BasisConfig, kind: str, tree: Expr) -> tuple:
     """_split_kernel for kind of project_kernel's projection of an expression
     tree.  Only the split is kept: for Volterra the projection is dropped.  A
-    Volterra tree's ExprEvalError says that it is sampled above t = s too."""
+    Volterra tree's ExprEvalError says where it is sampled: on t = s when the
+    tree fails at the node pairs there too, else above t = s too."""
     try:
         kernel = project_kernel(config, tree)
     except ExprEvalError as exc:
         if kind == "fredholm":
             raise
-        raise ExprEvalError(
-            f"{exc}; a Volterra kernel is sampled where s > t too, "
-            "though the integral reads only s <= t"
-        ) from exc
+        nodes = _projection_data(config)[0]
+        try:
+            evaluate(tree, nodes, nodes)
+            where = "where s > t too, though the integral reads only s <= t"
+        except ExprEvalError:
+            where = "on t = s, where each diagonal block's Gauss rule puts a node pair"
+        raise ExprEvalError(f"{exc}; a Volterra kernel is sampled {where}") from exc
     return _split_kernel(config, kind, kernel)
 
 
@@ -322,8 +320,7 @@ def _jacobian(system: AssembledSystem, y: np.ndarray) -> np.ndarray:
     affine lifts, read from the system's map A y + a: w_k = (u_k, v_k) depends
     on y through the 2r rows A[k].  I is bilinear in each w_k, so with the
     Hessians Z0 and W, dR = I + c (C blockdiag([Z0 v_k | u_k Z0] A[k]) / q
-    + blockdiag([W_k v_k | u_k W_k] A[k])), the second term for Volterra only;
-    a W of one block serves every k.
+    + blockdiag([W_k v_k | u_k W_k] A[k])), the second term for Volterra only.
     """
     q, r, dim = system.config.q, system.config.r, system.config.dim
     A = system.A

@@ -212,7 +212,7 @@ def _recording_projection(monkeypatch, cfg, tree=None):
 
 
 @pytest.mark.parametrize("r, q", CHUNK_SHAPES)
-def test_kernel_is_called_on_whole_t_blocks_within_the_budget(monkeypatch, r, q):
+def test_kernel_is_called_once_per_t_block_in_block_order(monkeypatch, r, q):
     cfg = BasisConfig(q=q, r=r)
     ts = _projection_data(cfg)[0]
     calls = _recording_projection(monkeypatch, cfg)

@@ -455,9 +455,9 @@ PRODUCT_SPELLINGS = {
 
 @pytest.mark.parametrize("q", [12, 40])
 def test_difference_kernel_spelled_as_a_product_gives_the_same_solution(q):
-    # the product takes the full projection, and for Volterra q distinct W
-    # blocks, while the difference takes t-blocks 0 and q - 1 only and one W
-    # block; each kernel call takes one t-block
+    # the product takes the full projection and the difference t-blocks 0
+    # and q - 1 only, one t-block per kernel call; for Volterra each split's
+    # W holds one block per diagonal block, q in both
     from pathlib import Path
 
     for name, (difference, product) in PRODUCT_SPELLINGS.items():
@@ -467,12 +467,12 @@ def test_difference_kernel_spelled_as_a_product_gives_the_same_solution(q):
         toeplitz, full = (run(dataclasses.replace(spec, r=3, q=q)) for spec in spellings)
         assert toeplitz.report.converged and full.report.converged
         if spellings[0].kind == "volterra":
-            # each run's cached split, whose W holds one block or q
+            # each run's cached split
             blocks = [
                 len(solver._expression_kernel(out.config, "volterra", out.spec.kernel)[-1])
                 for out in (toeplitz, full)
             ]
-            assert blocks == [1, q]
+            assert blocks == [q, q]
         # volterra_sin's y(0) = 0 needs an absolute floor in the t = 0 row
         np.testing.assert_allclose(
             [row.y_approx for row in toeplitz.rows],
@@ -576,10 +576,22 @@ def test_log_kernel_names_the_first_diagonal_node_on_either_projection_path(tmp_
 
 
 VOLTERRA_SAMPLING = "a Volterra kernel is sampled where s > t too, though the integral reads only s <= t"
+DIAGONAL_SAMPLING = "a Volterra kernel is sampled on t = s, where each diagonal block's Gauss rule puts a node pair"
 
 
-@pytest.mark.parametrize("kernel", ["sqrt(t - s)", "1/(t - s)"])
+@pytest.mark.parametrize("kernel", ["sqrt(t - s)"])
 def test_volterra_kernel_that_fails_above_the_diagonal_says_it_is_sampled_there(tmp_path, capsys, kernel):
+    _check_volterra_sampling_clause(tmp_path, capsys, kernel, VOLTERRA_SAMPLING)
+
+
+@pytest.mark.parametrize("kernel", ["1/(t - s)", "log(t - s)"])
+def test_volterra_kernel_failing_on_t_equal_s_says_it_is_sampled_there(tmp_path, capsys, kernel):
+    # these fail at the node pairs on t = s, which the integral reads, so
+    # sampling only s <= t would not help them
+    _check_volterra_sampling_clause(tmp_path, capsys, kernel, DIAGONAL_SAMPLING)
+
+
+def _check_volterra_sampling_clause(tmp_path, capsys, kernel, clause):
     # the same tree fails in project_kernel for both kinds; only a Volterra
     # run adds the clause, and a Fredholm run prints the evaluator's message
     fredholm = DOMAIN_ERROR_TEXT.format(kernel=kernel, f="1").replace("r = 2\nq = 2", "r = 3\nq = 4")
@@ -589,7 +601,7 @@ def test_volterra_kernel_that_fails_above_the_diagonal_says_it_is_sampled_there(
         project_kernel(BasisConfig(q=spec.q, r=spec.r), spec.kernel)
     expected = {
         fredholm: f"could not assemble <string>: {evaluation.value}",
-        volterra: f"could not assemble <string>: {evaluation.value}; {VOLTERRA_SAMPLING}",
+        volterra: f"could not assemble <string>: {evaluation.value}; {clause}",
     }
     for text, message in expected.items():
         with pytest.raises(RunFailure, match=f"^{re.escape(message)}$"):
